@@ -1,16 +1,14 @@
 """Probabilistic publicly verifiable (PV) signatures with recovery.
 
-Structurally the Lee-Chang scheme with the verifier key removed: the
-blinding uses the bare generator, so anyone holding the signer's public
-key can recover the message and verify,
-
-    t = g**k1,  c = m * g**k2,  r = H(m, g**k2),
-    s = k1**-1 * (x_A * r - k2)  (mod q),
+The Lee-Chang recovery equation of sdvs_mr with the bare generator as
+blinding base, c = m * g**k2, so anyone holding the signer's public key
+can recover the message and verify,
 
     recover  m = c * t**s * y_A**-r mod p,
     accept iff  r = H(m, t**-s * y_A**r).
 
-This is the publicly verifiable first stage of the universal
+Signing, range checks, opening and the hash check are sdvs_mr's shared
+core.  This is the publicly verifiable first stage of the universal
 designation flow; designation towards one verifier happens afterwards.
 """
 
@@ -18,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidNonce, InvalidSignature
+from .errors import InvalidSignature
 from .groupparams import GroupParams
-from .modmath import mod_exp, mod_inv, pow_in_subgroup
-from .msghash import HashMode, Message, hash_to_zq, recovered_message
-from .sdvs_mr import RecoveryNonces
+from .msghash import HashMode, Message
+from .sdvs_mr import RecoveryNonces, _accept, _check_ranges, _open, _sign
 
 
 @dataclass(frozen=True)
@@ -41,26 +38,7 @@ def psg(
     mode: HashMode = HashMode.PRODUCTION,
 ) -> PVSignature:
     """PV signature generation from nonces k1 in Z_q*, k2 in Z_q."""
-    p, q = params.p, params.q
-    k1 = nonces.k1 % q
-    k2 = nonces.k2 % q
-    if k1 == 0:
-        raise InvalidNonce("nonce k1 must be nonzero mod q")
-    t = mod_exp(params.g, k1, p)
-    c = m.value * mod_exp(params.g, k2, p) % p
-    r = hash_to_zq(m.value, mod_exp(params.g, k2, p), params, mode)
-    s = mod_inv(k1, q) * (signer_secret * r - k2) % q
-    return PVSignature(t=t, c=c, r=r, s=s)
-
-
-def _check_ranges(params: GroupParams, sig: PVSignature) -> None:
-    p, q = params.p, params.q
-    if not (0 <= sig.r < q and 0 <= sig.s < q):
-        raise InvalidSignature("r or s outside [0, q)")
-    if not 1 <= sig.c < p:
-        raise InvalidSignature("c outside [1, p)")
-    if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
-        raise InvalidSignature("t is not a nontrivial order-q subgroup element")
+    return PVSignature(*_sign(params, signer_secret, None, m, nonces, mode))
 
 
 def psv(
@@ -71,14 +49,9 @@ def psv(
     raw: bool | None = None,
 ) -> Message:
     """PV verification: recover m from public values only, or raise."""
-    p, q = params.p, params.q
-    _check_ranges(params, sig)
-    value = sig.c * pow_in_subgroup(sig.t, sig.s, p, q) % p
-    value = value * pow_in_subgroup(signer_public, -sig.r, p, q) % p
-    check = pow_in_subgroup(sig.t, -sig.s, p, q) * pow_in_subgroup(signer_public, sig.r, p, q) % p
-    if hash_to_zq(value, check, params, mode) != sig.r:
-        raise InvalidSignature("hash check failed")
-    return recovered_message(value, params, raw)
+    _check_ranges(params, sig, "c")
+    u, unblind = _open(params, signer_public, sig)
+    return _accept(params, sig.c * unblind % params.p, u, sig.r, mode, raw)
 
 
 def psv_matches(

@@ -1,14 +1,26 @@
-"""Lee-Chang strong designated verifier signatures with message recovery.
+"""Lee-Chang strong designated verifier signatures with message recovery,
+and the recovery core that the PV and UDVS schemes share with it.
 
-The message never travels alongside the signature: it is folded into
-the c component as c = m * y_B**k2 mod p and only the designated
-verifier can unfold it,
+The three schemes are one equation with different blinding.  From
+nonces k1 in Z_q*, k2 in Z_q and a blinding base B,
 
-    t = g**k1,  c = m * y_B**k2,  r = H(m, g**k2),
+    t = g**k1,  c = m * B**k2,  r = H(m, g**k2),
     s = k1**-1 * (x_A * r - k2)  (mod q),
 
-    recover  m = c * (t**s * y_A**-r)**x_B mod p,
-    accept iff  r = H(m, y_A**r * t**-s).
+and the signer's public key opens the commitment,
+
+    t**s * y_A**-r = g**-k2,   so   u = g**k2 is its inverse.
+
+Lee-Chang blinds with B = y_B, so only the designated verifier can
+unfold the message:
+
+    recover  m = c * (g**-k2)**x_B mod p,
+    accept iff  r = H(m, u).
+
+PV (pv_scheme) blinds with B = g; UDVS (udvs) re-blinds a PV signature
+towards y_B.  The private helpers below are the shared core: _sign,
+_check_ranges, _open (u and g**-k2 from one t**s and one y_A**r),
+_accept (the hash check) and _simulate.
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1); the map
 (w1, w2) -> (k1, k2) = (x_A * w1**-1, x_A * w1**-1 * w2) is a bijection
@@ -50,14 +62,75 @@ def random_nonces(params: GroupParams, rng: random.Random) -> RecoveryNonces:
     )
 
 
-def _check_ranges(params: GroupParams, sig: RecoverySignature) -> None:
+def _sign(
+    params: GroupParams,
+    signer_secret: int,
+    blinding_base: int | None,
+    m: Message,
+    nonces: RecoveryNonces,
+    mode: HashMode,
+) -> tuple[int, int, int, int]:
+    """(t, c, r, s) with c = m * blinding_base**k2; None blinds with g**k2 itself."""
+    p, q = params.p, params.q
+    k1 = nonces.k1 % q
+    k2 = nonces.k2 % q
+    if k1 == 0:
+        raise InvalidNonce("nonce k1 must be nonzero mod q")
+    t = mod_exp(params.g, k1, p)
+    u = mod_exp(params.g, k2, p)
+    blind = u if blinding_base is None else mod_exp(blinding_base, k2, p)
+    r = hash_to_zq(m.value, u, params, mode)
+    s = mod_inv(k1, q) * (signer_secret * r - k2) % q
+    return t, m.value * blind % p, r, s
+
+
+def _check_ranges(params: GroupParams, sig, *units: str) -> None:
+    """Reject r or s outside [0, q), a named unit field outside [1, p),
+    or a t outside the order-q subgroup."""
     p, q = params.p, params.q
     if not (0 <= sig.r < q and 0 <= sig.s < q):
         raise InvalidSignature("r or s outside [0, q)")
-    if not 1 <= sig.c < p:
-        raise InvalidSignature("c outside [1, p)")
+    for name in units:
+        if not 1 <= getattr(sig, name) < p:
+            raise InvalidSignature(f"{name} outside [1, p)")
     if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
         raise InvalidSignature("t is not a nontrivial order-q subgroup element")
+
+
+def _open(params: GroupParams, signer_public: int, sig) -> tuple[int, int]:
+    """(u, u**-1) = (g**k2, g**-k2), opened as t**s * y_A**-r."""
+    p, q = params.p, params.q
+    # Outside [1, p) y_A**r can be 0, which has no inverse.
+    if not 1 <= signer_public < p:
+        raise InvalidSignature("signer public key outside [1, p)")
+    y_r = pow_in_subgroup(signer_public, sig.r, p, q)
+    unblind = pow_in_subgroup(sig.t, sig.s, p, q) * mod_inv(y_r, p) % p
+    return mod_inv(unblind, p), unblind
+
+
+def _accept(
+    params: GroupParams, value: int, u: int, r: int, mode: HashMode, raw: bool | None
+) -> Message:
+    """The recovered message if r = H(value, u); InvalidSignature otherwise."""
+    if hash_to_zq(value, u, params, mode) != r:
+        raise InvalidSignature("hash check failed")
+    return recovered_message(value, params, raw)
+
+
+def _simulate(
+    params: GroupParams, signer_public: int, m: Message, w1: int, w2: int, mode: HashMode
+) -> tuple[int, int, int, int]:
+    """(t, u, r, s) of a verifier-side transcript, with u = g**k2."""
+    p, q = params.p, params.q
+    w1 %= q
+    w2 %= q
+    if w1 == 0:
+        raise InvalidRandomness("simulator randomness w1 must be nonzero mod q")
+    w1_inv = mod_inv(w1, q)
+    t = mod_exp(signer_public, w1_inv, p)
+    u = mod_exp(signer_public, w1_inv * w2 % q, p)
+    r = hash_to_zq(m.value, u, params, mode)
+    return t, u, r, (w1 * r - w2) % q
 
 
 def mr_sign(
@@ -69,16 +142,7 @@ def mr_sign(
     mode: HashMode = HashMode.PRODUCTION,
 ) -> RecoverySignature:
     """Sign m with recovery towards the designated verifier."""
-    p, q = params.p, params.q
-    k1 = nonces.k1 % q
-    k2 = nonces.k2 % q
-    if k1 == 0:
-        raise InvalidNonce("nonce k1 must be nonzero mod q")
-    t = mod_exp(params.g, k1, p)
-    c = m.value * mod_exp(verifier_public, k2, p) % p
-    r = hash_to_zq(m.value, mod_exp(params.g, k2, p), params, mode)
-    s = mod_inv(k1, q) * (signer_secret * r - k2) % q
-    return RecoverySignature(t=t, c=c, r=r, s=s)
+    return RecoverySignature(*_sign(params, signer_secret, verifier_public, m, nonces, mode))
 
 
 def mr_recover_verify(
@@ -90,14 +154,10 @@ def mr_recover_verify(
     raw: bool | None = None,
 ) -> Message:
     """Recover the message and verify in one step; needs the verifier secret."""
-    p, q = params.p, params.q
-    _check_ranges(params, sig)
-    unblind = pow_in_subgroup(sig.t, sig.s, p, q) * pow_in_subgroup(signer_public, -sig.r, p, q) % p
-    value = sig.c * mod_exp(unblind, verifier_secret, p) % p
-    check = pow_in_subgroup(signer_public, sig.r, p, q) * pow_in_subgroup(sig.t, -sig.s, p, q) % p
-    if hash_to_zq(value, check, params, mode) != sig.r:
-        raise InvalidSignature("hash check failed")
-    return recovered_message(value, params, raw)
+    _check_ranges(params, sig, "c")
+    u, unblind = _open(params, signer_public, sig)
+    value = sig.c * mod_exp(unblind, verifier_secret, params.p) % params.p
+    return _accept(params, value, u, sig.r, mode, raw)
 
 
 def mr_simulate(
@@ -110,15 +170,6 @@ def mr_simulate(
     mode: HashMode = HashMode.PRODUCTION,
 ) -> RecoverySignature:
     """Verifier-side transcript from randomness w1 in Z_q*, w2 in Z_q."""
-    p, q = params.p, params.q
-    w1 %= q
-    w2 %= q
-    if w1 == 0:
-        raise InvalidRandomness("simulator randomness w1 must be nonzero mod q")
-    w1_inv = mod_inv(w1, q)
-    t = mod_exp(signer_public, w1_inv, p)
-    c = m.value * mod_exp(signer_public, verifier_secret * w1_inv * w2 % q, p) % p
-    u = mod_exp(signer_public, w1_inv * w2 % q, p)
-    r = hash_to_zq(m.value, u, params, mode)
-    s = (w1 * r - w2) % q
+    t, u, r, s = _simulate(params, signer_public, m, w1, w2, mode)
+    c = m.value * mod_exp(u, verifier_secret, params.p) % params.p
     return RecoverySignature(t=t, c=c, r=r, s=s)

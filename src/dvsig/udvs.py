@@ -7,20 +7,18 @@ component with the verifier's public key,
     e = g**-d mod p,    w = c * y_B**d mod p,    d random in Z_q,
 
 and ships delta = (t, w, r, s, e).  Only the designated verifier can
-strip the blinding:
+strip the blinding, on top of the PV opening of sdvs_mr's shared core:
 
     recover  m = w * (t**s * y_A**-r * e**x_B) mod p,
     accept iff  r = H(m, t**-s * y_A**r).
 
-The verifier simulates delta from (w1, w2, d') by building the PV part
-the same way the recovery-scheme simulator does (without the verifier
-key in the blinding, matching the PV signer) and then self-designating:
+e must lie in the order-q subgroup: with e * h for an h of small order,
+the verifier's answer would reveal x_B modulo the order of h.
 
-    t' = y_A**(w1**-1),  u = y_A**(w1**-1 * w2),  c' = m * u,
-    r' = H(m, u),  s' = (w1 * r' - w2) mod q,
-    e' = g**-d',  w' = c' * y_B**d'.
-
-Under (w1, w2, d') -> (k1, k2, d) = (x_A * w1**-1, x_A * w1**-1 * w2, d')
+The verifier simulates delta from (w1, w2, d') with the shared simulator
+core (t', u, r', s'), takes c' = m * u as the PV signer would, and then
+self-designates: e' = g**-d', w' = c' * g**(x_B * d').  Under
+(w1, w2, d') -> (k1, k2, d) = (x_A * w1**-1, x_A * w1**-1 * w2, d')
 the simulator's output multiset equals the signer/designator's exactly.
 """
 
@@ -28,11 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidPVSignature, InvalidRandomness, InvalidSignature
+from .errors import InvalidPVSignature, InvalidSignature
 from .groupparams import GroupParams
-from .modmath import mod_exp, mod_inv, pow_in_subgroup
-from .msghash import HashMode, Message, hash_to_zq, recovered_message
+from .modmath import mod_exp, pow_in_subgroup
+from .msghash import HashMode, Message
 from .pv_scheme import PVSignature, psv
+from .sdvs_mr import _accept, _check_ranges, _open, _simulate
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,6 @@ def dsg(
     return DVSignature(t=pv_sig.t, w=w, r=pv_sig.r, s=pv_sig.s, e=e)
 
 
-def _check_ranges(params: GroupParams, sig: DVSignature) -> None:
-    p, q = params.p, params.q
-    if not (0 <= sig.r < q and 0 <= sig.s < q):
-        raise InvalidSignature("r or s outside [0, q)")
-    if not 1 <= sig.w < p:
-        raise InvalidSignature("w outside [1, p)")
-    if not 1 <= sig.e < p:
-        raise InvalidSignature("e outside [1, p)")
-    if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
-        raise InvalidSignature("t is not a nontrivial order-q subgroup element")
-
-
 def dsv_recover(
     params: GroupParams,
     signer_public: int,
@@ -99,14 +86,12 @@ def dsv_recover(
 ) -> Message:
     """Recover and verify a DV signature; needs the designated verifier's secret."""
     p, q = params.p, params.q
-    _check_ranges(params, sig)
-    unblind = pow_in_subgroup(sig.t, sig.s, p, q) * pow_in_subgroup(signer_public, -sig.r, p, q) % p
-    unblind = unblind * mod_exp(sig.e, verifier_secret, p) % p
-    value = sig.w * unblind % p
-    check = pow_in_subgroup(sig.t, -sig.s, p, q) * pow_in_subgroup(signer_public, sig.r, p, q) % p
-    if hash_to_zq(value, check, params, mode) != sig.r:
-        raise InvalidSignature("hash check failed")
-    return recovered_message(value, params, raw)
+    _check_ranges(params, sig, "w", "e")
+    if mod_exp(sig.e, q, p) != 1:
+        raise InvalidSignature("e is not an order-q subgroup element")
+    u, unblind = _open(params, signer_public, sig)
+    value = sig.w * unblind % p * mod_exp(sig.e, verifier_secret, p) % p
+    return _accept(params, value, u, sig.r, mode, raw)
 
 
 def dv_simulate(
@@ -119,18 +104,8 @@ def dv_simulate(
 ) -> DVSignature:
     """Verifier-side DV transcript; always passes dsv_recover for m."""
     p, q = params.p, params.q
-    w1 = rands.w1 % q
-    w2 = rands.w2 % q
     d = rands.d % q
-    if w1 == 0:
-        raise InvalidRandomness("simulator randomness w1 must be nonzero mod q")
-    w1_inv = mod_inv(w1, q)
-    t = mod_exp(signer_public, w1_inv, p)
-    u = mod_exp(signer_public, w1_inv * w2 % q, p)
-    c = m.value * u % p
-    r = hash_to_zq(m.value, u, params, mode)
-    s = (w1 * r - w2) % q
+    t, u, r, s = _simulate(params, signer_public, m, rands.w1, rands.w2, mode)
     e = pow_in_subgroup(params.g, -d, p, q)
-    verifier_public = mod_exp(params.g, verifier_secret, p)
-    w = c * mod_exp(verifier_public, d, p) % p
+    w = m.value * u % p * mod_exp(params.g, verifier_secret * d % q, p) % p
     return DVSignature(t=t, w=w, r=r, s=s, e=e)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 
 from .errors import Malformed
 from .groupparams import GroupParams
@@ -35,19 +36,20 @@ KIND_PUBLIC_KEY = 0x11
 KIND_SECRET_KEY = 0x12
 
 _LAYOUT = [
-    (KIND_PARAMS, GroupParams, ("p", "q", "g"), "DVS PARAMS"),
-    (KIND_PUBLIC_KEY, PublicKey, ("y",), "DVS PUBLIC KEY"),
-    (KIND_SECRET_KEY, SecretKey, ("x",), "DVS SECRET KEY"),
-    (KIND_SAEEDNIA_SIG, SaeedniaSignature, ("r", "s", "t"), "DVS SIGNATURE"),
-    (KIND_RECOVERY_SIG, RecoverySignature, ("t", "c", "r", "s"), "DVS SIGNATURE"),
-    (KIND_PV_SIG, PVSignature, ("t", "c", "r", "s"), "DVS SIGNATURE"),
-    (KIND_DV_SIG, DVSignature, ("t", "w", "r", "s", "e"), "DVS SIGNATURE"),
+    (KIND_PARAMS, GroupParams, "DVS PARAMS"),
+    (KIND_PUBLIC_KEY, PublicKey, "DVS PUBLIC KEY"),
+    (KIND_SECRET_KEY, SecretKey, "DVS SECRET KEY"),
+    (KIND_SAEEDNIA_SIG, SaeedniaSignature, "DVS SIGNATURE"),
+    (KIND_RECOVERY_SIG, RecoverySignature, "DVS SIGNATURE"),
+    (KIND_PV_SIG, PVSignature, "DVS SIGNATURE"),
+    (KIND_DV_SIG, DVSignature, "DVS SIGNATURE"),
 ]
 
-_BY_KIND = {kind: (cls, fields, label) for kind, cls, fields, label in _LAYOUT}
-_BY_TYPE = {cls: (kind, fields, label) for kind, cls, fields, label in _LAYOUT}
+# Wire field order is the dataclass field order.
+_BY_KIND = {kind: (cls, tuple(f.name for f in dataclasses.fields(cls)), label) for kind, cls, label in _LAYOUT}
+_BY_TYPE = {cls: (kind, names, label) for kind, (cls, names, label) in _BY_KIND.items()}
 
-_ARMOR_LABELS = {label for _, _, _, label in _LAYOUT}
+_ARMOR_LABELS = {label for _, _, label in _LAYOUT}
 
 
 def _encode_int(value: int) -> bytes:

@@ -6,6 +6,7 @@ import pytest
 from dvsig import wirefmt
 from dvsig.cli import run
 from dvsig.groupparams import GroupParams, TOY23
+from dvsig.keys import PublicKey
 from dvsig.pv_scheme import PVSignature
 from dvsig.udvs import DVSignature
 
@@ -99,6 +100,19 @@ def test_pv_verify_expect_mismatch(toyfiles, tmp_path, capsys):
     assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
                 "--signer-key", toyfiles["signer_pub"], "--in", str(pv_sig),
                 "--expect-residue", "8", *STUBBED]) == 1
+    assert "REJECT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("y", [0, TOY23.p])
+def test_pv_verify_degenerate_signer_key_rejects(toyfiles, tmp_path, capsys, y):
+    pv_sig = tmp_path / "m.pvsig"
+    bad_key = tmp_path / "bad.pub"
+    bad_key.write_text(wirefmt.armor(PublicKey(y)))
+    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
+                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
+                *STUBBED, "--out", str(pv_sig)]) == 0
+    assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
+                "--signer-key", str(bad_key), "--in", str(pv_sig), *STUBBED]) == 1
     assert "REJECT" in capsys.readouterr().out
 
 

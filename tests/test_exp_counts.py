@@ -1,0 +1,85 @@
+"""Modular exponentiations per scheme operation.
+
+The count does not depend on the machine, so it pins the cost of each
+operation exactly.  Every dvsig module binds modmath's functions with
+``from ... import``, so the counter replaces them under every name bound
+in every loaded dvsig module, not only in dvsig.modmath.
+"""
+
+import random
+import sys
+
+import pytest
+
+from dvsig import modmath
+from dvsig.keys import keygen
+from dvsig.modmath import sample_uniform
+from dvsig.msghash import encode_message
+from dvsig.pv_scheme import psg, psv
+from dvsig.sdvs_mr import mr_recover_verify, mr_sign, mr_simulate, random_nonces
+from dvsig.sdvs_saeednia import SaeedniaNonces, sds_sign, sds_simulate, sds_verify
+from dvsig.udvs import SimulatorRandomness, dsg, dsv_recover, dv_simulate
+
+
+@pytest.fixture()
+def exp_counter(monkeypatch):
+    calls = []
+    originals = (modmath.mod_exp, modmath.pow_in_subgroup)
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "dvsig" or name.startswith("dvsig."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, counting(value))
+
+    def count(operation):
+        calls.clear()
+        result = operation()
+        return result, len(calls)
+
+    return count
+
+
+def test_exponentiations_per_operation(midsize, exp_counter):
+    params = midsize
+    rng = random.Random(7)
+    signer = keygen(params, rng)
+    verifier = keygen(params, rng)
+    m = encode_message(b"count", params)
+    x_a, y_a, x_b, y_b = signer.x, signer.y, verifier.x, verifier.y
+    zq = lambda: sample_uniform(params.q, False, rng)
+    zq_star = lambda: sample_uniform(params.q, True, rng)
+
+    # Saeednia can refuse a nonce whose hash is 0; this seed never hits it.
+    sae, n = exp_counter(lambda: sds_sign(params, x_a, y_b, m, SaeedniaNonces(zq(), zq_star())))
+    assert n == 1
+    ok, n = exp_counter(lambda: sds_verify(params, y_a, x_b, m, sae))
+    assert ok and n == 3
+    _, n = exp_counter(lambda: sds_simulate(params, y_a, x_b, m, zq(), zq_star()))
+    assert n == 2
+
+    lee, n = exp_counter(lambda: mr_sign(params, x_a, y_b, m, random_nonces(params, rng)))
+    assert n == 3
+    rec, n = exp_counter(lambda: mr_recover_verify(params, y_a, x_b, lee))
+    assert rec.value == m.value and n == 4
+    _, n = exp_counter(lambda: mr_simulate(params, y_a, x_b, m, zq_star(), zq()))
+    assert n == 3
+
+    pv, n = exp_counter(lambda: psg(params, x_a, m, random_nonces(params, rng)))
+    assert n == 2
+    rec, n = exp_counter(lambda: psv(params, y_a, pv))
+    assert rec.value == m.value and n == 3
+
+    dv, n = exp_counter(lambda: dsg(params, y_a, y_b, pv, zq()))
+    assert n == 5
+    rec, n = exp_counter(lambda: dsv_recover(params, y_a, x_b, dv))
+    assert rec.value == m.value and n == 5
+    rands = SimulatorRandomness(zq_star(), zq(), zq())
+    _, n = exp_counter(lambda: dv_simulate(params, y_a, x_b, m, rands))
+    assert n == 4

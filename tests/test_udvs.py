@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import InvalidPVSignature, InvalidRandomness, InvalidSignature
-from dvsig.modmath import sample_uniform
+from dvsig.keys import keygen
+from dvsig.modmath import mod_exp, mod_inv, sample_uniform
 from dvsig.msghash import HashMode, encode_message, raw_message
 from dvsig.pv_scheme import PVSignature, psg, psv
 from dvsig.sdvs_mr import RecoveryNonces, random_nonces
@@ -61,6 +62,31 @@ def test_dsv_rejects_out_of_range_fields(toy, toy_signer, toy_verifier):
     for sig in bad:
         with pytest.raises(InvalidSignature):
             dsv_recover(toy, toy_signer.y, toy_verifier.x, sig, STUB)
+
+
+@pytest.mark.parametrize("group, ell", [("toy", 2), ("midsize", 23)])
+def test_forged_e_probe_rejects_every_guess(request, group, ell):
+    # Lim-Lee small-subgroup probe: with h of prime order l dividing (p - 1) / q,
+    # (e * h, w * h**-j) recovers m exactly when j = x_B mod l, so accepting
+    # it would leak x_B modulo l.
+    params = request.getfixturevalue(group)
+    p = params.p
+    assert (p - 1) // params.q % ell == 0
+    h = next(h for a in range(2, p) if (h := mod_exp(a, (p - 1) // ell, p)) != 1)
+    rng = random.Random(23)
+    signer, verifier = keygen(params, rng), keygen(params, rng)
+    m = raw_message(7, params)
+    pv_sig = psg(params, signer.x, m, random_nonces(params, rng), STUB)
+    sig = dsg(params, signer.y, verifier.y, pv_sig, sample_uniform(params.q, False, rng), STUB)
+    opened = mod_exp(sig.t, sig.s, p) * mod_inv(mod_exp(signer.y, sig.r, p), p) % p
+    leaks = 0
+    for j in range(ell):
+        forged = DVSignature(t=sig.t, w=sig.w * mod_inv(mod_exp(h, j, p), p) % p,
+                             r=sig.r, s=sig.s, e=sig.e * h % p)
+        leaks += forged.w * opened * mod_exp(forged.e, verifier.x, p) % p == m.value
+        with pytest.raises(InvalidSignature):
+            dsv_recover(params, signer.y, verifier.x, forged, STUB, raw=True)
+    assert leaks == 1  # the probe is live: without the e check one guess passes
 
 
 def test_simulate_worked_vector(toy, toy_signer, toy_verifier):
