@@ -17,6 +17,7 @@ from dvsig.oracle import (
     SIMULATABLE_SCHEMES,
     SCHEME_LEECHANG,
     SCHEME_UDVS,
+    SCHEMES,
     check_indistinguishable,
     enumerate_real,
     enumerate_simulated,
@@ -61,7 +62,7 @@ def main():
 
     print()
     bound = 2 / params.q
-    for scheme in ("saeednia", "leechang", "pv", "udvs"):
+    for scheme in SCHEMES:
         accepted, trials = forgery_acceptance(
             params, signer, verifier, m, scheme, args.trials, rng
         )

@@ -16,24 +16,13 @@ import sys
 from pathlib import Path
 
 from . import oracle as oraclemod
-from .errors import (
-    DVSError,
-    GenerationTimeout,
-    GroupTooLarge,
-    InvalidPVSignature,
-    InvalidSignature,
-    Malformed,
-    MalformedEncoding,
-    MessageTooLong,
-    OutOfRange,
-)
+from .errors import (DegenerateHash, DVSError, GenerationTimeout, GroupTooLarge,
+                     InvalidPVSignature, InvalidSignature)
 from .groupparams import PRESETS, GroupParams, generate_params, validate_params
 from .keys import PublicKey, SecretKey, keygen
-from .msghash import HashMode, Message, encode_message, raw_message
-from .pv_scheme import PVSignature, psg, psv, psv_matches
-from .sdvs_mr import RecoverySignature, mr_recover_verify, mr_sign, mr_simulate, random_nonces
-from .sdvs_saeednia import SaeedniaSignature, sds_sign_random, sds_simulate_random, sds_verify
-from .udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_simulate
+from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
+from .pv_scheme import PVSignature, psv_matches
+from .udvs import dsg
 from . import wirefmt
 from .modmath import sample_uniform
 
@@ -102,6 +91,26 @@ def _require(value, flag: str):
     return value
 
 
+def _load_expected(args, params: GroupParams) -> Message | None:
+    """The message `verify --expect-message/--expect-residue` names, if any."""
+    if getattr(args, "expect_message", None) is not None:
+        return encode_message(_read_bytes(args.expect_message), params)
+    if getattr(args, "expect_residue", None) is not None:
+        return raw_message(args.expect_residue, params)
+    return None
+
+
+def _fresh(params: GroupParams, space, rng, make):
+    """make(randomness) on a uniform draw from space, redrawn while the hash is degenerate."""
+    while True:
+        randomness = tuple(sample_uniform(params.q, kind == oraclemod.ZQ_STAR, rng)
+                           for kind in space)
+        try:
+            return make(randomness)
+        except DegenerateHash:
+            continue
+
+
 # ---------------------------------------------------------------- handlers
 
 
@@ -140,75 +149,49 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sign(args) -> int:
+    scheme = oraclemod.SCHEMES[args.scheme]
     params = _load(args.params, GroupParams)
     mode = _hash_mode(args)
     rng = _make_rng(args)
     message = _load_message(args, params)
-    signer_secret = _load(_require(args.key, "--key"), SecretKey).x
-    if args.scheme == "pv":
-        sig = psg(params, signer_secret, message, random_nonces(params, rng), mode)
-    else:
-        verifier_public = _load(_require(args.verifier_key, "--verifier-key"), PublicKey).y
-        if args.scheme == "saeednia":
-            sig = sds_sign_random(params, signer_secret, verifier_public, message, rng, mode)
-        else:
-            sig = mr_sign(params, signer_secret, verifier_public, message,
-                          random_nonces(params, rng), mode)
+    signer = _load(_require(args.key, "--key"), SecretKey)
+    verifier = None
+    if scheme.designated:
+        verifier = _load(_require(args.verifier_key, "--verifier-key"), PublicKey)
+    sig = _fresh(params, scheme.sign_space, rng, lambda randomness: scheme.sign(
+        params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_open(args) -> int:
+    """verify, recover and dverify: open a signature, print ACCEPT or REJECT."""
+    scheme = oraclemod.SCHEMES[args.scheme]
     params = _load(args.params, GroupParams)
     mode = _hash_mode(args)
-    signer_public = _load(_require(args.signer_key, "--signer-key"), PublicKey).y
-    if args.scheme == "saeednia":
-        verifier_secret = _load(_require(args.key, "--key"), SecretKey).x
-        message = _load_message(args, params)
-        sig = _load(args.in_path, SaeedniaSignature)
-        if sds_verify(params, signer_public, verifier_secret, message, sig, mode):
-            print("ACCEPT")
-            return EXIT_OK
-        print("REJECT")
-        return EXIT_REJECT
-    sig = _load(args.in_path, PVSignature)
+    signer = _load(_require(args.signer_key, "--signer-key"), PublicKey)
+    verifier = _load(_require(args.key, "--key"), SecretKey) if scheme.designated else None
+    message = None if scheme.recovers else _load_message(args, params)
+    sig = _load(args.in_path, scheme.sig_type)
+    raw = args.raw or None
+    # Only `verify` takes an expectation, and PV is the one recovering scheme it offers.
+    expected = _load_expected(args, params) if scheme.recovers else None
+    if expected is not None and psv_matches(params, signer.y, sig, expected, mode):
+        print("ACCEPT")
+        _print_recovered(recovered_message(expected.value, params, raw))
+        return EXIT_OK
     try:
-        recovered = psv(params, signer_public, sig, mode, raw=args.raw or None)
+        recovered = scheme.open(params, signer, verifier, message, sig, mode, raw)
     except InvalidSignature:
         print("REJECT")
         return EXIT_REJECT
-    expected = None
-    if args.expect_message is not None:
-        expected = encode_message(_read_bytes(args.expect_message), params)
-    elif args.expect_residue is not None:
-        expected = raw_message(args.expect_residue, params)
-    if expected is not None and not psv_matches(params, signer_public, sig, expected, mode):
+    if expected is not None:  # valid, but for another message
         print("REJECT")
         _print_recovered(recovered)
         return EXIT_REJECT
     print("ACCEPT")
-    _print_recovered(recovered)
-    return EXIT_OK
-
-
-def cmd_recover(args) -> int:
-    params = _load(args.params, GroupParams)
-    mode = _hash_mode(args)
-    signer_public = _load(_require(args.signer_key, "--signer-key"), PublicKey).y
-    raw = args.raw or None
-    try:
-        if args.scheme == "leechang":
-            verifier_secret = _load(_require(args.key, "--key"), SecretKey).x
-            sig = _load(args.in_path, RecoverySignature)
-            recovered = mr_recover_verify(params, signer_public, verifier_secret, sig, mode, raw)
-        else:
-            sig = _load(args.in_path, PVSignature)
-            recovered = psv(params, signer_public, sig, mode, raw)
-    except InvalidSignature:
-        print("REJECT")
-        return EXIT_REJECT
-    print("ACCEPT")
-    _print_recovered(recovered)
+    if scheme.recovers:
+        _print_recovered(recovered)
     return EXIT_OK
 
 
@@ -229,42 +212,16 @@ def cmd_designate(args) -> int:
     return EXIT_OK
 
 
-def cmd_dverify(args) -> int:
-    params = _load(args.params, GroupParams)
-    mode = _hash_mode(args)
-    signer_public = _load(_require(args.signer_key, "--signer-key"), PublicKey).y
-    verifier_secret = _load(_require(args.key, "--key"), SecretKey).x
-    sig = _load(args.in_path, DVSignature)
-    try:
-        recovered = dsv_recover(params, signer_public, verifier_secret, sig, mode, args.raw or None)
-    except InvalidSignature:
-        print("REJECT")
-        return EXIT_REJECT
-    print("ACCEPT")
-    _print_recovered(recovered)
-    return EXIT_OK
-
-
 def cmd_simulate(args) -> int:
+    scheme = oraclemod.SCHEMES[args.scheme]
     params = _load(args.params, GroupParams)
     mode = _hash_mode(args)
     rng = _make_rng(args)
     message = _load_message(args, params)
-    signer_public = _load(_require(args.signer_key, "--signer-key"), PublicKey).y
-    verifier_secret = _load(_require(args.key, "--key"), SecretKey).x
-    if args.scheme == "saeednia":
-        sig = sds_simulate_random(params, signer_public, verifier_secret, message, rng, mode)
-    elif args.scheme == "leechang":
-        w1 = sample_uniform(params.q, True, rng)
-        w2 = sample_uniform(params.q, False, rng)
-        sig = mr_simulate(params, signer_public, verifier_secret, message, w1, w2, mode)
-    else:
-        rands = SimulatorRandomness(
-            w1=sample_uniform(params.q, True, rng),
-            w2=sample_uniform(params.q, False, rng),
-            d=sample_uniform(params.q, False, rng),
-        )
-        sig = dv_simulate(params, signer_public, verifier_secret, message, rands, mode)
+    signer = _load(_require(args.signer_key, "--signer-key"), PublicKey)
+    verifier = _load(_require(args.key, "--key"), SecretKey)
+    sig = _fresh(params, scheme.sim_space, rng, lambda randomness: scheme.simulate(
+        params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
     return EXIT_OK
 
@@ -367,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--expect-residue", type=int, default=None)
     verify.add_argument("--raw", action="store_true", help="report the recovered residue undecoded")
     _add_common(verify)
-    verify.set_defaults(handler=cmd_verify)
+    verify.set_defaults(handler=cmd_open)
 
     recover = commands.add_parser("recover", help="recover the message from a signature")
     recover.add_argument("--scheme", choices=["leechang", "pv"], required=True)
@@ -377,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--in", dest="in_path", required=True)
     recover.add_argument("--raw", action="store_true")
     _add_common(recover)
-    recover.set_defaults(handler=cmd_recover)
+    recover.set_defaults(handler=cmd_open)
 
     designate = commands.add_parser("designate", help="turn a PV signature into a DV signature")
     designate.add_argument("--params", required=True)
@@ -395,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     dverify.add_argument("--in", dest="in_path", required=True)
     dverify.add_argument("--raw", action="store_true")
     _add_common(dverify)
-    dverify.set_defaults(handler=cmd_dverify)
+    dverify.set_defaults(handler=cmd_open, scheme=oraclemod.SCHEME_UDVS)
 
     simulate = commands.add_parser("simulate", help="produce a verifier-side transcript")
     simulate.add_argument("--scheme", choices=["saeednia", "leechang", "udvs"], required=True)
@@ -425,18 +382,9 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, GroupTooLarge, GenerationTimeout, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GroupTooLarge, GenerationTimeout, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (Malformed, MalformedEncoding, MessageTooLong, OutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     except DVSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -13,6 +13,9 @@ Also measures two floors on the same toy groups:
 * confidentiality: recovery under a wrong verifier secret returns the
   true message only when the blinding exponent was zero, and the hash
   check passes at most at the same 1/q-scale rate.
+
+SCHEMES states once what sets the four schemes apart; the enumeration,
+the forgery floor and the CLI all read it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import astuple, dataclass, field
+from functools import lru_cache
+from itertools import product
+from typing import Callable
 
 from .errors import DegenerateHash, GroupTooLarge, InvalidSignature, SchemeMismatch
 from .groupparams import GroupParams
@@ -38,7 +44,87 @@ SCHEME_LEECHANG = "leechang"
 SCHEME_PV = "pv"
 SCHEME_UDVS = "udvs"
 
-SIMULATABLE_SCHEMES = (SCHEME_SAEEDNIA, SCHEME_LEECHANG, SCHEME_UDVS)
+# Ranges of randomness components and signature fields.
+ZQ, ZQ_STAR, SUBGROUP, UNIT = "Z_q", "Z_q*", "<g>", "Z_p*"
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """What sets one scheme apart, for the CLI and the oracle alike.
+
+    The callables take the signer a and the verifier b duck-typed and
+    read only the attribute they need: .x of a secret, .y of a public
+    element.  So the CLI passes the keys it loaded from files and the
+    oracle passes KeyPairs.  Each callable names the scheme function in
+    its body, so the name resolves when it is called and a replaced
+    module attribute (a tracer, an exponentiation counter) sees the call.
+    """
+
+    sig_type: type
+    designated: bool  # signing needs y_B and opening needs x_B
+    recovers: bool  # the signature carries the message
+    sign_space: tuple[str, ...]  # signer randomness, ZQ or ZQ_STAR per component, in draw order
+    sign: Callable  # (params, a, b, m, randomness, mode) -> signature
+    open: Callable  # (params, a, b, m, sig, mode, raw) -> accepted Message, else InvalidSignature
+    forgery: tuple[str, ...]  # the range of each signature field, in field order
+    sim_space: tuple[str, ...] = ()
+    simulate: Callable | None = None  # (params, a, b, m, randomness, mode) -> signature
+
+
+def _sds_open(params, a, b, m, sig, mode, raw):
+    """sds_verify as an opener; Saeednia recovers nothing, so an accept returns m."""
+    if not sds_verify(params, a.y, b.x, m, sig, mode):
+        raise InvalidSignature("Saeednia verification failed")
+    return m
+
+
+@lru_cache(maxsize=1)
+def _pv_signed(params, x, m, k1, k2, mode):
+    """UDVS enumeration runs d fastest, so this signs each (k1, k2) once for all d."""
+    return psg(params, x, m, RecoveryNonces(k1, k2), mode)
+
+
+SCHEMES = {
+    SCHEME_SAEEDNIA: Scheme(
+        SaeedniaSignature, designated=True, recovers=False, sign_space=(ZQ, ZQ_STAR),
+        sign=lambda params, a, b, m, rand, mode: sds_sign(
+            params, a.x, b.y, m, SaeedniaNonces(*rand), mode),
+        open=_sds_open,
+        forgery=(ZQ, ZQ, ZQ_STAR), sim_space=(ZQ, ZQ_STAR),
+        simulate=lambda params, a, b, m, rand, mode: sds_simulate(
+            params, a.y, b.x, m, *rand, mode),
+    ),
+    SCHEME_LEECHANG: Scheme(
+        RecoverySignature, designated=True, recovers=True, sign_space=(ZQ_STAR, ZQ),
+        sign=lambda params, a, b, m, rand, mode: mr_sign(
+            params, a.x, b.y, m, RecoveryNonces(*rand), mode),
+        open=lambda params, a, b, m, sig, mode, raw: mr_recover_verify(
+            params, a.y, b.x, sig, mode, raw),
+        forgery=(SUBGROUP, UNIT, ZQ, ZQ), sim_space=(ZQ_STAR, ZQ),
+        simulate=lambda params, a, b, m, rand, mode: mr_simulate(
+            params, a.y, b.x, m, *rand, mode),
+    ),
+    SCHEME_PV: Scheme(
+        PVSignature, designated=False, recovers=True, sign_space=(ZQ_STAR, ZQ),
+        sign=lambda params, a, b, m, rand, mode: psg(
+            params, a.x, m, RecoveryNonces(*rand), mode),
+        open=lambda params, a, b, m, sig, mode, raw: psv(params, a.y, sig, mode, raw),
+        forgery=(SUBGROUP, UNIT, ZQ, ZQ),
+    ),
+    SCHEME_UDVS: Scheme(
+        # The signer's PV nonces k1, k2, then the designator's d.
+        DVSignature, designated=True, recovers=True, sign_space=(ZQ_STAR, ZQ, ZQ),
+        sign=lambda params, a, b, m, rand, mode: dsg(
+            params, a.y, b.y, _pv_signed(params, a.x, m, *rand[:2], mode), rand[2], mode),
+        open=lambda params, a, b, m, sig, mode, raw: dsv_recover(
+            params, a.y, b.x, sig, mode, raw),
+        forgery=(SUBGROUP, UNIT, ZQ, ZQ, UNIT), sim_space=(ZQ_STAR, ZQ, ZQ),
+        simulate=lambda params, a, b, m, rand, mode: dv_simulate(
+            params, a.y, b.x, m, SimulatorRandomness(*rand), mode),
+    ),
+}
+
+SIMULATABLE_SCHEMES = tuple(name for name, entry in SCHEMES.items() if entry.simulate)
 
 
 @dataclass
@@ -67,6 +153,25 @@ def _guard(params: GroupParams) -> None:
         raise GroupTooLarge(f"q = {params.q} exceeds the enumeration guard ({MAX_ENUM_ORDER})")
 
 
+def _scheme(name: str) -> Scheme:
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise ValueError(f"unknown scheme: {name}") from None
+
+
+def _enumerate(params: GroupParams, scheme: str, space, make) -> SignatureMultiset:
+    """make(randomness) for every randomness in space, skipping degenerate hashes."""
+    out = SignatureMultiset(scheme)
+    ranges = [range(1 if kind == ZQ_STAR else 0, params.q) for kind in space]
+    for randomness in product(*ranges):
+        try:
+            out.add(make(randomness))
+        except DegenerateHash:
+            continue
+    return out
+
+
 def enumerate_real(
     params: GroupParams,
     signer: KeyPair,
@@ -81,33 +186,9 @@ def enumerate_real(
     support is restricted to r != 0 by construction.
     """
     _guard(params)
-    q = params.q
-    out = SignatureMultiset(scheme)
-    stub = HashMode.STUB
-    if scheme == SCHEME_SAEEDNIA:
-        for k in range(q):
-            for t in range(1, q):
-                try:
-                    out.add(sds_sign(params, signer.x, verifier.y, m, SaeedniaNonces(k, t), stub))
-                except DegenerateHash:
-                    continue
-    elif scheme == SCHEME_LEECHANG:
-        for k1 in range(1, q):
-            for k2 in range(q):
-                out.add(mr_sign(params, signer.x, verifier.y, m, RecoveryNonces(k1, k2), stub))
-    elif scheme == SCHEME_PV:
-        for k1 in range(1, q):
-            for k2 in range(q):
-                out.add(psg(params, signer.x, m, RecoveryNonces(k1, k2), stub))
-    elif scheme == SCHEME_UDVS:
-        for k1 in range(1, q):
-            for k2 in range(q):
-                pv_sig = psg(params, signer.x, m, RecoveryNonces(k1, k2), stub)
-                for d in range(q):
-                    out.add(dsg(params, signer.y, verifier.y, pv_sig, d, stub))
-    else:
-        raise ValueError(f"unknown scheme: {scheme}")
-    return out
+    entry = _scheme(scheme)
+    return _enumerate(params, scheme, entry.sign_space, lambda rand: entry.sign(
+        params, signer, verifier, m, rand, HashMode.STUB))
 
 
 def enumerate_simulated(
@@ -119,29 +200,11 @@ def enumerate_simulated(
 ) -> SignatureMultiset:
     """Signatures over every legal simulator randomness, under the stub hash."""
     _guard(params)
-    q = params.q
-    out = SignatureMultiset(scheme)
-    stub = HashMode.STUB
-    if scheme == SCHEME_SAEEDNIA:
-        for s_rand in range(q):
-            for r_rand in range(1, q):
-                try:
-                    out.add(sds_simulate(params, signer.y, verifier.x, m, s_rand, r_rand, stub))
-                except DegenerateHash:
-                    continue
-    elif scheme == SCHEME_LEECHANG:
-        for w1 in range(1, q):
-            for w2 in range(q):
-                out.add(mr_simulate(params, signer.y, verifier.x, m, w1, w2, stub))
-    elif scheme == SCHEME_UDVS:
-        for w1 in range(1, q):
-            for w2 in range(q):
-                for d in range(q):
-                    rands = SimulatorRandomness(w1, w2, d)
-                    out.add(dv_simulate(params, signer.y, verifier.x, m, rands, stub))
-    else:
+    entry = _scheme(scheme)
+    if entry.simulate is None:
         raise ValueError(f"scheme has no transcript simulator: {scheme}")
-    return out
+    return _enumerate(params, scheme, entry.sim_space, lambda rand: entry.simulate(
+        params, signer, verifier, m, rand, HashMode.STUB))
 
 
 def check_indistinguishable(a: SignatureMultiset, b: SignatureMultiset) -> DiffReport:
@@ -164,18 +227,14 @@ def check_indistinguishable(a: SignatureMultiset, b: SignatureMultiset) -> DiffR
 def random_forgery(params: GroupParams, scheme: str, rng: random.Random):
     """A signature tuple with every component uniform over its own range."""
     p, q = params.p, params.q
-    zq = lambda: sample_uniform(q, False, rng)
-    subgroup_el = lambda: mod_exp(params.g, zq(), p)
-    unit = lambda: sample_uniform(p, True, rng)
-    if scheme == SCHEME_SAEEDNIA:
-        return SaeedniaSignature(r=zq(), s=zq(), t=sample_uniform(q, True, rng))
-    if scheme == SCHEME_LEECHANG:
-        return RecoverySignature(t=subgroup_el(), c=unit(), r=zq(), s=zq())
-    if scheme == SCHEME_PV:
-        return PVSignature(t=subgroup_el(), c=unit(), r=zq(), s=zq())
-    if scheme == SCHEME_UDVS:
-        return DVSignature(t=subgroup_el(), w=unit(), r=zq(), s=zq(), e=unit())
-    raise ValueError(f"unknown scheme: {scheme}")
+    draw = {
+        ZQ: lambda: sample_uniform(q, False, rng),
+        ZQ_STAR: lambda: sample_uniform(q, True, rng),
+        SUBGROUP: lambda: mod_exp(params.g, sample_uniform(q, False, rng), p),
+        UNIT: lambda: sample_uniform(p, True, rng),
+    }
+    entry = _scheme(scheme)
+    return entry.sig_type(*(draw[kind]() for kind in entry.forgery))
 
 
 def forgery_acceptance(
@@ -189,22 +248,15 @@ def forgery_acceptance(
     mode: HashMode = HashMode.STUB,
 ) -> tuple[int, int]:
     """(accepted, trials) for uniformly random tuples against the verifier."""
-    verify = {
-        SCHEME_SAEEDNIA: lambda sig: sds_verify(params, signer.y, verifier.x, m, sig, mode),
-        SCHEME_LEECHANG: lambda sig: mr_recover_verify(params, signer.y, verifier.x, sig, mode, raw=True),
-        SCHEME_PV: lambda sig: psv(params, signer.y, sig, mode, raw=True),
-        SCHEME_UDVS: lambda sig: dsv_recover(params, signer.y, verifier.x, sig, mode, raw=True),
-    }.get(scheme)
-    if verify is None:
-        raise ValueError(f"unknown scheme: {scheme}")
+    entry = _scheme(scheme)
     accepted = 0
     for _ in range(trials):
         sig = random_forgery(params, scheme, rng)
         try:
-            # Saeednia answers False; the recovery schemes raise instead.
-            accepted += verify(sig) is not False
+            entry.open(params, signer, verifier, m, sig, mode, True)
         except InvalidSignature:
-            pass
+            continue
+        accepted += 1
     return accepted, trials
 
 

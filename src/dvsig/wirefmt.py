@@ -100,10 +100,6 @@ def decode(blob: bytes):
     return cls(**dict(zip(fields, values)))
 
 
-def kind_of(value) -> int:
-    return _BY_TYPE[type(value)][0]
-
-
 def armor(value) -> str:
     """PEM-like text block wrapping the canonical blob."""
     label = _BY_TYPE[type(value)][2]

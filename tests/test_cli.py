@@ -103,6 +103,22 @@ def test_pv_verify_expect_mismatch(toyfiles, tmp_path, capsys):
     assert "REJECT" in capsys.readouterr().out
 
 
+def test_pv_verify_reads_expectation_before_opening(toyfiles, tmp_path, capsys):
+    """An unreadable --expect-message is a usage error even when the signature is invalid."""
+    pv_sig = tmp_path / "m.pvsig"
+    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
+                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
+                *STUBBED, "--out", str(pv_sig)]) == 0
+    sig = wirefmt.loads_expected(pv_sig.read_bytes(), PVSignature)
+    pv_sig.write_text(wirefmt.armor(PVSignature(sig.t, sig.c % (TOY23.p - 1) + 1, sig.r, sig.s)))
+    verify = ["verify", "--scheme", "pv", "--params", toyfiles["params"],
+              "--signer-key", toyfiles["signer_pub"], "--in", str(pv_sig), *STUBBED]
+    assert run([*verify, "--expect-residue", "7"]) == 1
+    assert capsys.readouterr().out == "REJECT\n"
+    assert run([*verify, "--expect-message", str(tmp_path / "absent")]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("y", [0, TOY23.p])
 def test_pv_verify_degenerate_signer_key_rejects(toyfiles, tmp_path, capsys, y):
     pv_sig = tmp_path / "m.pvsig"
@@ -224,6 +240,15 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
     # missing subcommand
     assert run([]) == 2
+    # a group too large for the exhaustive oracle (GroupTooLarge)
+    big_toy = tmp_path / "q8.params"
+    assert run(["params", "gen", "--q-bits", "8", "--p-bits", "24", "--seed", "5",
+                "--out", str(big_toy)]) == 0
+    assert run(["oracle", "--scheme", "leechang", "--params", str(big_toy)]) == 2
+    # a missing input file (OSError)
+    assert run(["recover", "--scheme", "pv", "--params", toyfiles["params"],
+                "--signer-key", toyfiles["signer_pub"], "--in", str(tmp_path / "absent"),
+                *STUBBED]) == 2
 
 
 def test_malformed_inputs_exit_three(toyfiles, tmp_path):

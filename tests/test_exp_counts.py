@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from dvsig import modmath
+from dvsig import modmath, wirefmt
+from dvsig.cli import run
 from dvsig.keys import keygen
 from dvsig.modmath import sample_uniform
 from dvsig.msghash import encode_message
@@ -83,3 +84,20 @@ def test_exponentiations_per_operation(midsize, exp_counter):
     rands = SimulatorRandomness(zq_star(), zq(), zq())
     _, n = exp_counter(lambda: dv_simulate(params, y_a, x_b, m, rands))
     assert n == 4
+
+
+def test_cli_pv_verify_with_expectation_opens_once(midsize, exp_counter, tmp_path):
+    """`verify --scheme pv --expect-message` costs what one psv costs."""
+    signer = keygen(midsize, random.Random(7))
+    files = {"params": midsize, "signer.sec": signer.secret(), "signer.pub": signer.public()}
+    for name, value in files.items():
+        (tmp_path / name).write_text(wirefmt.armor(value))
+    (tmp_path / "m.bin").write_bytes(b"count")
+    group = ["--params", str(tmp_path / "params")]
+    assert run(["sign", "--scheme", "pv", *group, "--key", str(tmp_path / "signer.sec"),
+                "--message", str(tmp_path / "m.bin"), "--seed", "1",
+                "--out", str(tmp_path / "m.pvsig")]) == 0
+    code, n = exp_counter(lambda: run(
+        ["verify", "--scheme", "pv", *group, "--signer-key", str(tmp_path / "signer.pub"),
+         "--in", str(tmp_path / "m.pvsig"), "--expect-message", str(tmp_path / "m.bin")]))
+    assert code == 0 and n == 3
