@@ -167,6 +167,11 @@ def cmd_sign(args) -> int:
 def cmd_open(args) -> int:
     """verify, recover and dverify: open a signature, print ACCEPT or REJECT."""
     scheme = oraclemod.SCHEMES[args.scheme]
+    # A recovering scheme carries its message; a non-recovering one has nothing to expect.
+    unusable = ("message", "raw_residue") if scheme.recovers else ("expect_message", "expect_residue")
+    for name in unusable:
+        if getattr(args, name, None) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to --scheme {args.scheme}")
     params = _load(args.params, GroupParams)
     mode = _hash_mode(args)
     signer = _load(_require(args.signer_key, "--signer-key"), PublicKey)
@@ -175,7 +180,7 @@ def cmd_open(args) -> int:
     sig = _load(args.in_path, scheme.sig_type)
     raw = args.raw or None
     # Only `verify` takes an expectation, and PV is the one recovering scheme it offers.
-    expected = _load_expected(args, params) if scheme.recovers else None
+    expected = _load_expected(args, params)
     if expected is not None and psv_matches(params, signer.y, sig, expected, mode):
         print("ACCEPT")
         _print_recovered(recovered_message(expected.value, params, raw))

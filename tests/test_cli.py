@@ -249,6 +249,27 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
     assert run(["recover", "--scheme", "pv", "--params", toyfiles["params"],
                 "--signer-key", toyfiles["signer_pub"], "--in", str(tmp_path / "absent"),
                 *STUBBED]) == 2
+    # message flags a valid signature's scheme cannot use
+    ssig, pvsig = tmp_path / "m.ssig", tmp_path / "m.pvsig"
+    assert run(["sign", "--scheme", "saeednia", "--params", toyfiles["params"],
+                "--key", toyfiles["signer_sec"], "--verifier-key", toyfiles["verifier_pub"],
+                "--raw-residue", "7", "--seed", "9", *STUBBED, "--out", str(ssig)]) == 0
+    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
+                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
+                *STUBBED, "--out", str(pvsig)]) == 0
+    saeednia = ["verify", "--scheme", "saeednia", "--params", toyfiles["params"],
+                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
+                "--raw-residue", "7", "--in", str(ssig), *STUBBED]
+    assert run(saeednia) == 0
+    # Saeednia recovers nothing, so there is nothing to compare an expectation with
+    assert run([*saeednia, "--expect-residue", "8"]) == 2
+    assert run([*saeednia, "--expect-message", str(ssig)]) == 2
+    pv = ["verify", "--scheme", "pv", "--params", toyfiles["params"],
+          "--signer-key", toyfiles["signer_pub"], "--in", str(pvsig), *STUBBED]
+    assert run(pv) == 0
+    # PV carries its message, so a message given alongside would be ignored
+    assert run([*pv, "--raw-residue", "8"]) == 2
+    assert run([*pv, "--message", str(ssig)]) == 2
 
 
 def test_malformed_inputs_exit_three(toyfiles, tmp_path):

@@ -1,9 +1,14 @@
 import random
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dvsig import modmath, wirefmt
+from dvsig.cli import run
 from dvsig.errors import NonInvertible
+from dvsig.groupparams import generate_params
 from dvsig.modmath import mod_exp, mod_inv, pow_in_subgroup, sample_uniform
 
 
@@ -97,3 +102,189 @@ def test_sample_uniform_frequencies_within_five_sigma():
 def test_sample_uniform_rejects_tiny_bound():
     with pytest.raises(ValueError):
         sample_uniform(1, False, random.Random(0))
+
+
+# ------------------------------------------------------- fixed-base tables
+
+# Table powers must equal the builtin pow bit for bit; tables are built
+# only for hot bases of full-size moduli, and their number is bounded.
+
+
+def forget_all_bases():
+    """Empty the table cache and the use counter, as in a fresh process."""
+    modmath._tables.clear()
+    modmath._uses.clear()
+
+
+@pytest.fixture()
+def tables():
+    forget_all_bases()
+    yield modmath._tables
+    forget_all_bases()
+
+
+def tabled(base, params):
+    """The table of base, built by using it with exponent q - 1 as often as it takes."""
+    p, q = params.p, params.q
+    if (base, p) not in modmath._tables:
+        for _ in range(modmath._TABLE_AFTER):
+            assert mod_exp(base, q - 1, p) == pow(base, q - 1, p)
+    return modmath._tables[(base, p)]
+
+
+def outside_subgroup(params):
+    h = 2
+    while pow(h, params.q, params.p) == 1:
+        h += 1
+    return h
+
+
+BASES = {
+    "g": lambda params, key: params.g,
+    "key": lambda params, key: key.y,
+    "one": lambda params, key: 1,
+    "p-1": lambda params, key: params.p - 1,
+    "outside": lambda params, key: outside_subgroup(params),
+}
+TABLE_SETTINGS = settings(deadline=None, max_examples=40)
+
+
+def special_or_below_q(params):
+    q = params.q
+    return st.one_of(st.sampled_from([0, 1, q - 1, q]), st.integers(min_value=0, max_value=q - 1))
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_table_power_equals_builtin(big, big_signer, name, tables):
+    base = BASES[name](big, big_signer)
+    table = tabled(base, big)
+
+    @TABLE_SETTINGS
+    @given(special_or_below_q(big))
+    def check(exp):
+        assert exp.bit_length() <= table.width
+        assert mod_exp(base, exp, big.p) == pow(base, exp, big.p)
+        assert pow_in_subgroup(base, exp, big.p, big.q) == pow(base, exp % big.q, big.p)
+        assert modmath._tables[(base, big.p)] is table
+
+    check()
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_exponents_wider_than_the_table_fall_back(big, big_signer, name, tables):
+    base = BASES[name](big, big_signer)
+    table = tabled(base, big)
+
+    @TABLE_SETTINGS
+    @given(st.integers(min_value=1 << table.width, max_value=1 << (2 * table.width)))
+    def check(exp):
+        assert mod_exp(base, exp, big.p) == pow(base, exp, big.p)
+        assert modmath._tables[(base, big.p)] is table
+
+    check()
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_negative_exponents_through_pow_in_subgroup(big, big_signer, name, tables):
+    base = BASES[name](big, big_signer)
+    p, q = big.p, big.q
+    tabled(base, big)
+
+    @TABLE_SETTINGS
+    @given(special_or_below_q(big))
+    def check(k):
+        assert pow_in_subgroup(base, -k, p, q) == pow(base, -k % q, p)
+        if pow(base, q, p) == 1:
+            assert pow_in_subgroup(base, -k, p, q) == pow(base, -k, p)
+
+    check()
+
+
+def test_fewer_uses_than_the_threshold_build_no_table(big, tables):
+    p, q, g = big.p, big.q, big.g
+    for k in range(1, modmath._TABLE_AFTER):
+        assert mod_exp(g, q - k, p) == pow(g, q - k, p)
+    assert not tables
+    assert pow_in_subgroup(g, -1, p, q) == pow(g, q - 1, p)
+    assert (g, p) in tables
+
+
+@pytest.mark.parametrize("group", ["toy", "midsize"])
+def test_small_groups_never_build_a_table(request, group, tables):
+    params = request.getfixturevalue(group)
+    p, q, g = params.p, params.q, params.g
+    for k in range(4 * modmath._TABLE_AFTER):
+        assert mod_exp(g, k % q, p) == pow(g, k % q, p)
+        assert pow_in_subgroup(g, -k, p, q) == pow(g, -k % q, p)
+    assert not tables and not modmath._uses
+
+
+def test_table_and_counter_counts_stay_within_their_caps(big, tables):
+    p, q, g = big.p, big.q, big.g
+    bases = [pow(g, i, p) for i in range(2, modmath._MAX_TABLES + 4)]
+    for base in bases:
+        tabled(base, big)
+        assert len(tables) <= modmath._MAX_TABLES
+    assert list(tables) == [(base, p) for base in bases[-modmath._MAX_TABLES:]]
+    for i in range(2 * modmath._MAX_COUNTED):
+        assert mod_exp(g + i, 3, p) == pow(g + i, 3, p)
+    assert len(modmath._uses) == modmath._MAX_COUNTED
+
+
+def test_one_shot_cli_processes_build_no_table(big, big_signer, big_verifier, tmp_path, tables):
+    """sign and verify on 2048-bit files, each run as a fresh process sees it."""
+    files = {"params": big, "signer.sec": big_signer.secret(), "signer.pub": big_signer.public(),
+             "verifier.sec": big_verifier.secret(), "verifier.pub": big_verifier.public()}
+    for name, value in files.items():
+        (tmp_path / name).write_text(wirefmt.armor(value))
+    (tmp_path / "m.bin").write_bytes(b"one-shot")
+    f = {name: str(tmp_path / name) for name in (*files, "m.bin", "m.rsig", "m.pvsig")}
+    group = ["--params", f["params"]]
+    runs = [
+        ["sign", "--scheme", "leechang", *group, "--key", f["signer.sec"],
+         "--verifier-key", f["verifier.pub"], "--message", f["m.bin"], "--seed", "1",
+         "--out", f["m.rsig"]],
+        ["recover", "--scheme", "leechang", *group, "--key", f["verifier.sec"],
+         "--signer-key", f["signer.pub"], "--in", f["m.rsig"]],
+        ["sign", "--scheme", "pv", *group, "--key", f["signer.sec"], "--message", f["m.bin"],
+         "--seed", "2", "--out", f["m.pvsig"]],
+        ["verify", "--scheme", "pv", *group, "--signer-key", f["signer.pub"],
+         "--in", f["m.pvsig"], "--expect-message", f["m.bin"]],
+    ]
+    for argv in runs:
+        forget_all_bases()
+        assert run(argv) == 0
+        assert not tables, argv[:3]
+
+
+def test_threads_share_the_cache_safely(tables):
+    """More threads than cores churn five hot bases through the tables and
+    one-off bases through the counter; every power stays exact."""
+    params = generate_params(64, 256, random.Random(3))
+    p, q, g = params.p, params.q, params.g
+    hot = [pow(g, i, p) for i in range(1, modmath._MAX_TABLES + 3)]
+    wrong, finished = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            base = rng.choice(hot) if rng.random() < 0.5 else rng.randrange(2, p)
+            exp = rng.randrange(q)
+            if mod_exp(base, exp, p) != pow(base, exp, p):
+                wrong.append((base, exp))
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == list(range(4)) and not wrong
+    assert tables and len(tables) <= modmath._MAX_TABLES
+    assert len(modmath._uses) <= modmath._MAX_COUNTED
