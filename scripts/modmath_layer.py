@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Time one modular exponentiation, with and without a fixed-base table.
 
-On a seeded group (2048/256 bits by default) it prints the builtin pow
-time, the comb-table evaluation time, the table build time and bytes,
-and the number of uses after which a build has paid for itself.  Each
-time is the median of --repeat rounds of --powers powers of g with
-random exponents below q.  Run from the repository root:
+For each seeded group in SIZES (2048/256 bits first, then the sizes
+around the table crossover in modmath) it prints the builtin pow time,
+the comb-table evaluation time, the table build time and bytes, and
+the number of uses after which a build has paid for itself.  Each time
+is the median of REPEAT rounds of POWERS powers of g with random
+exponents below q.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/modmath_layer.py
-    PYTHONPATH=src python3 scripts/modmath_layer.py --q-bits 64 --p-bits 256
 """
 
-import argparse
 import random
 import statistics
 import sys
@@ -20,10 +19,16 @@ from time import perf_counter
 from dvsig.groupparams import generate_params
 from dvsig.modmath import _Comb
 
+# (q bits, p bits)
+SIZES = [(256, 2048), (64, 256), (48, 160), (16, 64)]
+SEED = 0x5EED2026
+POWERS = 50
+REPEAT = 7
 
-def median_ms(fn, args, repeat: int) -> float:
+
+def median_ms(fn, args) -> float:
     rounds = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = perf_counter()
         for a in args:
             fn(a)
@@ -31,39 +36,38 @@ def median_ms(fn, args, repeat: int) -> float:
     return statistics.median(rounds) * 1000.0
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--q-bits", type=int, default=256)
-    parser.add_argument("--p-bits", type=int, default=2048)
-    parser.add_argument("--seed", type=int, default=0x5EED2026)
-    parser.add_argument("--powers", type=int, default=50)
-    parser.add_argument("--repeat", type=int, default=7)
-    args = parser.parse_args()
-
-    params = generate_params(args.q_bits, args.p_bits, random.Random(args.seed))
+def measure(q_bits: int, p_bits: int):
+    params = generate_params(q_bits, p_bits, random.Random(SEED))
     p, q, g = params.p, params.q, params.g
-    rng = random.Random(args.seed + 1)
-    exps = [rng.randrange(q) for _ in range(args.powers)]
+    rng = random.Random(SEED + 1)
+    exps = [rng.randrange(q) for _ in range(POWERS)]
 
     builds = []
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         t0 = perf_counter()
         table = _Comb(g, p, q.bit_length())
         builds.append(perf_counter() - t0)
     if any(table.power(e) != pow(g, e, p) for e in exps):
         sys.exit("table power differs from the builtin pow")
-    builtin = median_ms(lambda e: pow(g, e, p), exps, args.repeat)
-    comb = median_ms(table.power, exps, args.repeat)
+    builtin = median_ms(lambda e: pow(g, e, p), exps)
+    comb = median_ms(table.power, exps)
     build = statistics.median(builds) * 1000.0
     size = sys.getsizeof(table.entries) + sum(sys.getsizeof(x) for x in table.entries)
 
-    print(f"group: {args.p_bits}/{args.q_bits} bits, seed {args.seed}")
+    print(f"group: {p_bits}/{q_bits} bits, seed {SEED:#x}")
     print(f"builtin pow: {builtin:.4f} ms")
     print(f"table pow: {comb:.4f} ms ({builtin / comb:.2f}x)")
     print(f"table build: {build:.3f} ms")
     print(f"table bytes: {size} ({len(table.entries)} residues, exponents up to {table.width} bits)")
     repaid = f"{build / (builtin - comb):.1f} uses" if comb < builtin else "never"
     print(f"build repaid after: {repaid}")
+
+
+def main():
+    for i, (q_bits, p_bits) in enumerate(SIZES):
+        if i:
+            print()
+        measure(q_bits, p_bits)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ _COMB_BLOCKS = 2
 # that must not evict the tables of g and the keys.
 _TABLE_AFTER = 16
 # Crossover, measured with scripts/modmath_layer.py: a build is repaid
-# after about 2 table powers at 2048 bits, 7 at 256 bits and 17 at 160
+# after about 2 table powers at 2048 bits, 8 at 256 bits and 20 at 160
 # bits; at 64 bits a table power is slower than the builtin pow.
 _TABLE_MIN_MODULUS = 1 << (256 - 1)
 _MAX_TABLES = 3
