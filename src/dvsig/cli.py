@@ -16,15 +16,14 @@ import sys
 from pathlib import Path
 
 from . import oracle as oraclemod
-from .errors import (DegenerateHash, DVSError, GenerationTimeout, GroupTooLarge,
-                     InvalidPVSignature, InvalidSignature)
+from .errors import DVSError, GenerationTimeout, GroupTooLarge, InvalidPVSignature, InvalidSignature
 from .groupparams import PRESETS, GroupParams, generate_params, validate_params
 from .keys import PublicKey, SecretKey, keygen
 from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
 from .pv_scheme import PVSignature, psv_matches
 from .udvs import dsg
 from . import wirefmt
-from .modmath import sample_uniform
+from .modmath import sample_space, sample_uniform
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -100,17 +99,6 @@ def _load_expected(args, params: GroupParams) -> Message | None:
     return None
 
 
-def _fresh(params: GroupParams, space, rng, make):
-    """make(randomness) on a uniform draw from space, redrawn while the hash is degenerate."""
-    while True:
-        randomness = tuple(sample_uniform(params.q, kind == oraclemod.ZQ_STAR, rng)
-                           for kind in space)
-        try:
-            return make(randomness)
-        except DegenerateHash:
-            continue
-
-
 # ---------------------------------------------------------------- handlers
 
 
@@ -158,7 +146,7 @@ def cmd_sign(args) -> int:
     verifier = None
     if scheme.designated:
         verifier = _load(_require(args.verifier_key, "--verifier-key"), PublicKey)
-    sig = _fresh(params, scheme.sign_space, rng, lambda randomness: scheme.sign(
+    sig = sample_space(params.q, scheme.sign_space, rng, lambda randomness: scheme.sign(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
     return EXIT_OK
@@ -225,7 +213,7 @@ def cmd_simulate(args) -> int:
     message = _load_message(args, params)
     signer = _load(_require(args.signer_key, "--signer-key"), PublicKey)
     verifier = _load(_require(args.key, "--key"), SecretKey)
-    sig = _fresh(params, scheme.sim_space, rng, lambda randomness: scheme.simulate(
+    sig = sample_space(params.q, scheme.sim_space, rng, lambda randomness: scheme.simulate(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
     return EXIT_OK
@@ -233,6 +221,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     params = _load(args.params, GroupParams)
+    if params.q < 3:  # Z_q* would hold one secret, shared by both parties
+        raise UsageError(f"the oracle needs q >= 3 for two distinct keys, not q = {params.q}")
     rng = _make_rng(args)
     signer = keygen(params, rng, role="signer")
     verifier = keygen(params, rng, role="verifier")
@@ -360,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     dverify.set_defaults(handler=cmd_open, scheme=oraclemod.SCHEME_UDVS)
 
     simulate = commands.add_parser("simulate", help="produce a verifier-side transcript")
-    simulate.add_argument("--scheme", choices=["saeednia", "leechang", "udvs"], required=True)
+    simulate.add_argument("--scheme", choices=oraclemod.SIMULATABLE_SCHEMES, required=True)
     simulate.add_argument("--params", required=True)
     simulate.add_argument("--key", help="verifier secret key file")
     simulate.add_argument("--signer-key", help="signer public key file")
@@ -370,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=cmd_simulate)
 
     oracle = commands.add_parser("oracle", help="exhaustive real-vs-simulated distribution check")
-    oracle.add_argument("--scheme", choices=["saeednia", "leechang", "udvs"], required=True)
+    oracle.add_argument("--scheme", choices=oraclemod.SIMULATABLE_SCHEMES, required=True)
     oracle.add_argument("--params", required=True)
     oracle.add_argument("--raw-residue", type=int, default=7)
     oracle.add_argument("--seed", type=int, default=0)

@@ -23,6 +23,12 @@ idempotent (both build the same entries).  Which entries a table power
 reads depends on the exponent's bits, so it is not constant-time;
 neither is the builtin pow, and constant-time execution is out of
 scope for this package.
+
+Randomness is drawn by sample_uniform, and a tuple of it by
+sample_space: a space names, in draw order, the range of each component,
+ZQ for [0, q) or ZQ_STAR for [1, q).  oracle.SCHEMES lists each scheme's
+signer and simulator spaces; the CLI, sds_sign_random,
+sds_simulate_random and random_nonces all draw through sample_space.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ from __future__ import annotations
 import random
 import threading
 
-from .errors import NonInvertible
+from .errors import DegenerateHash, NonInvertible
+
+# Ranges of randomness components: Z_q = [0, q), Z_q* = [1, q).
+ZQ, ZQ_STAR = "Z_q", "Z_q*"
 
 # Comb shape: an index combines _COMB_ROWS exponent bits, and the table
 # holds _COMB_BLOCKS blocks of 2**_COMB_ROWS entries.  At 2048/256 bits
@@ -179,3 +188,17 @@ def sample_uniform(bound: int, exclude_zero: bool, rng: random.Random) -> int:
         if exclude_zero and value == 0:
             continue
         return value
+
+
+def sample_space(q: int, space, rng: random.Random, make=tuple):
+    """make(draw) for a draw of one sample_uniform per component of space, in order.
+
+    A make that raises DegenerateHash rejects the draw, and a fresh one
+    is made; any other error propagates.
+    """
+    while True:
+        draw = tuple(sample_uniform(q, kind == ZQ_STAR, rng) for kind in space)
+        try:
+            return make(draw)
+        except DegenerateHash:
+            continue

@@ -15,7 +15,7 @@ Also measures two floors on the same toy groups:
   check passes at most at the same 1/q-scale rate.
 
 SCHEMES states once what sets the four schemes apart; the enumeration,
-the forgery floor and the CLI all read it.
+the forgery floor, the wrong-key census and the CLI all read it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 from .errors import DegenerateHash, GroupTooLarge, InvalidSignature, SchemeMismatch
 from .groupparams import GroupParams
 from .keys import KeyPair
-from .modmath import mod_exp, pow_in_subgroup, sample_uniform
+from .modmath import ZQ, ZQ_STAR, mod_exp, mod_inv, pow_in_subgroup, sample_uniform
 from .msghash import HashMode, Message, hash_to_zq
 from .pv_scheme import PVSignature, psg, psv
 from .sdvs_mr import RecoveryNonces, RecoverySignature, mr_recover_verify, mr_sign, mr_simulate
@@ -44,8 +44,8 @@ SCHEME_LEECHANG = "leechang"
 SCHEME_PV = "pv"
 SCHEME_UDVS = "udvs"
 
-# Ranges of randomness components and signature fields.
-ZQ, ZQ_STAR, SUBGROUP, UNIT = "Z_q", "Z_q*", "<g>", "Z_p*"
+# Ranges of signature fields, besides modmath's ZQ and ZQ_STAR.
+SUBGROUP, UNIT = "<g>", "Z_p*"
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,15 @@ def _scheme(name: str) -> Scheme:
         raise ValueError(f"unknown scheme: {name}") from None
 
 
+def _support(params: GroupParams, space):
+    """Every randomness in space, in draw order with the last component fastest."""
+    return product(*(range(1 if kind == ZQ_STAR else 0, params.q) for kind in space))
+
+
 def _enumerate(params: GroupParams, scheme: str, space, make) -> SignatureMultiset:
     """make(randomness) for every randomness in space, skipping degenerate hashes."""
     out = SignatureMultiset(scheme)
-    ranges = [range(1 if kind == ZQ_STAR else 0, params.q) for kind in space]
-    for randomness in product(*ranges):
+    for randomness in _support(params, space):
         try:
             out.add(make(randomness))
         except DegenerateHash:
@@ -268,7 +272,7 @@ class RecoveryCensus:
     cases: int = 0
     true_message: int = 0
     hash_accepted: int = 0
-    unblinded: int = 0  # cases whose blinding exponent (k2 resp. d) was zero
+    unblinded: int = 0  # cases whose blinding exponent, drawn last (k2 resp. d), was zero
 
 
 def wrong_key_recovery_census(
@@ -285,51 +289,24 @@ def wrong_key_recovery_census(
     """
     _guard(params)
     p, q = params.p, params.q
+    # The value recovered under secret x from opened = t**s * y_A**-r = g**-k2.
+    recover = {
+        SCHEME_LEECHANG: lambda sig, opened, x: sig.c * mod_exp(opened, x, p) % p,
+        SCHEME_UDVS: lambda sig, opened, x: sig.w * (opened * mod_exp(sig.e, x, p) % p) % p,
+    }.get(scheme)
+    if recover is None:
+        raise ValueError(f"confidentiality census applies to recovery schemes, not {scheme}")
     census = RecoveryCensus(scheme)
     wrong_keys = [x for x in range(1, q) if x != verifier.x]
     stub = HashMode.STUB
-    if scheme == SCHEME_LEECHANG:
-        for k1 in range(1, q):
-            for k2 in range(q):
-                sig = mr_sign(params, signer.x, verifier.y, m, RecoveryNonces(k1, k2), stub)
-                unblind = (
-                    pow_in_subgroup(sig.t, sig.s, p, q)
-                    * pow_in_subgroup(signer.y, -sig.r, p, q)
-                    % p
-                )
-                check = (
-                    pow_in_subgroup(signer.y, sig.r, p, q)
-                    * pow_in_subgroup(sig.t, -sig.s, p, q)
-                    % p
-                )
-                for x in wrong_keys:
-                    value = sig.c * mod_exp(unblind, x, p) % p
-                    census.cases += 1
-                    census.true_message += value == m.value
-                    census.hash_accepted += hash_to_zq(value, check, params, stub) == sig.r
-                    census.unblinded += k2 == 0
-    elif scheme == SCHEME_UDVS:
-        for k1 in range(1, q):
-            for k2 in range(q):
-                pv_sig = psg(params, signer.x, m, RecoveryNonces(k1, k2), stub)
-                for d in range(q):
-                    sig = dsg(params, signer.y, verifier.y, pv_sig, d, stub)
-                    base = (
-                        pow_in_subgroup(sig.t, sig.s, p, q)
-                        * pow_in_subgroup(signer.y, -sig.r, p, q)
-                        % p
-                    )
-                    check = (
-                        pow_in_subgroup(sig.t, -sig.s, p, q)
-                        * pow_in_subgroup(signer.y, sig.r, p, q)
-                        % p
-                    )
-                    for x in wrong_keys:
-                        value = sig.w * (base * mod_exp(sig.e, x, p) % p) % p
-                        census.cases += 1
-                        census.true_message += value == m.value
-                        census.hash_accepted += hash_to_zq(value, check, params, stub) == sig.r
-                        census.unblinded += d == 0
-    else:
-        raise ValueError(f"confidentiality census applies to recovery schemes, not {scheme}")
+    for randomness in _support(params, SCHEMES[scheme].sign_space):
+        sig = SCHEMES[scheme].sign(params, signer, verifier, m, randomness, stub)
+        opened = pow_in_subgroup(sig.t, sig.s, p, q) * pow_in_subgroup(signer.y, -sig.r, p, q) % p
+        check = mod_inv(opened, p)
+        for x in wrong_keys:
+            value = recover(sig, opened, x)
+            census.cases += 1
+            census.true_message += value == m.value
+            census.hash_accepted += hash_to_zq(value, check, params, stub) == sig.r
+            census.unblinded += randomness[-1] == 0
     return census

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidNonce, InvalidRandomness, InvalidSignature
 from .groupparams import GroupParams
-from .modmath import mod_exp, mod_inv, pow_in_subgroup, sample_uniform
+from .modmath import ZQ, ZQ_STAR, mod_exp, mod_inv, pow_in_subgroup, sample_space
 from .msghash import HashMode, Message, hash_to_zq, recovered_message
 
 
@@ -56,10 +56,7 @@ class RecoveryNonces:
 
 
 def random_nonces(params: GroupParams, rng: random.Random) -> RecoveryNonces:
-    return RecoveryNonces(
-        k1=sample_uniform(params.q, True, rng),
-        k2=sample_uniform(params.q, False, rng),
-    )
+    return sample_space(params.q, (ZQ_STAR, ZQ), rng, lambda draw: RecoveryNonces(*draw))
 
 
 def _sign(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateHash, InvalidNonce, InvalidRandomness
 from .groupparams import GroupParams
-from .modmath import mod_exp, mod_inv, pow_in_subgroup, sample_uniform
+from .modmath import ZQ, ZQ_STAR, mod_exp, mod_inv, pow_in_subgroup, sample_space
 from .msghash import HashMode, Message, hash_to_zq
 
 
@@ -72,16 +72,9 @@ def sds_sign_random(
     rng: random.Random,
     mode: HashMode = HashMode.PRODUCTION,
 ) -> SaeedniaSignature:
-    """Sign with fresh nonces, resampling while the hash is degenerate."""
-    while True:
-        nonces = SaeedniaNonces(
-            k=sample_uniform(params.q, False, rng),
-            t=sample_uniform(params.q, True, rng),
-        )
-        try:
-            return sds_sign(params, signer_secret, verifier_public, m, nonces, mode)
-        except DegenerateHash:
-            continue
+    """Sign with fresh nonces (k, t), resampling while the hash is degenerate."""
+    return sample_space(params.q, (ZQ, ZQ_STAR), rng, lambda draw: sds_sign(
+        params, signer_secret, verifier_public, m, SaeedniaNonces(*draw), mode))
 
 
 def sds_verify(
@@ -140,11 +133,6 @@ def sds_simulate_random(
     rng: random.Random,
     mode: HashMode = HashMode.PRODUCTION,
 ) -> SaeedniaSignature:
-    """Simulate with fresh randomness, resampling while the hash is degenerate."""
-    while True:
-        s_rand = sample_uniform(params.q, False, rng)
-        r_rand = sample_uniform(params.q, True, rng)
-        try:
-            return sds_simulate(params, signer_public, verifier_secret, m, s_rand, r_rand, mode)
-        except DegenerateHash:
-            continue
+    """Simulate with fresh randomness (s', r'), resampling while the hash is degenerate."""
+    return sample_space(params.q, (ZQ, ZQ_STAR), rng, lambda draw: sds_simulate(
+        params, signer_public, verifier_secret, m, *draw, mode))

@@ -222,6 +222,20 @@ def test_oracle_subcommand(toyfiles, capsys):
                 "--raw-residue", "3", "--seed", "77"]) == 0
 
 
+def test_oracle_rejects_a_group_too_small_for_two_keys(tmp_path):
+    """q = 2 leaves one secret in Z_q*, so two distinct parties cannot exist."""
+    params = tmp_path / "q2.params"
+    params.write_text(wirefmt.armor(GroupParams(p=5, q=2, g=4)))
+    assert run(["params", "check", "--in", str(params)]) == 0
+    # a subprocess with a timeout, so that a key loop that cannot end fails here
+    oracle = subprocess.run(
+        [sys.executable, "-m", "dvsig", "oracle", "--scheme", "saeednia", "--params", str(params)],
+        capture_output=True, timeout=60,
+    )
+    assert oracle.returncode == 2
+    assert b"q >= 3" in oracle.stderr
+
+
 def test_usage_errors_exit_two(toyfiles, tmp_path):
     # unknown scheme is an argparse-level usage error
     assert run(["sign", "--scheme", "bogus", "--params", toyfiles["params"],

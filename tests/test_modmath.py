@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from dvsig import modmath, wirefmt
 from dvsig.cli import run
-from dvsig.errors import NonInvertible
+from dvsig.errors import DegenerateHash, NonInvertible
 from dvsig.groupparams import generate_params
-from dvsig.modmath import mod_exp, mod_inv, pow_in_subgroup, sample_uniform
+from dvsig.modmath import ZQ, ZQ_STAR, mod_exp, mod_inv, pow_in_subgroup, sample_space, sample_uniform
 
 
 def repeated_multiplication(base, exp, modulus):
@@ -102,6 +102,30 @@ def test_sample_uniform_frequencies_within_five_sigma():
 def test_sample_uniform_rejects_tiny_bound():
     with pytest.raises(ValueError):
         sample_uniform(1, False, random.Random(0))
+
+
+def test_sample_space_draws_each_component_in_order():
+    rng = random.Random(7)
+    expected = (sample_uniform(11, True, rng), sample_uniform(11, False, rng),
+                sample_uniform(11, False, rng))
+    assert sample_space(11, (ZQ_STAR, ZQ, ZQ), random.Random(7)) == expected
+
+
+def test_sample_space_redraws_only_on_a_degenerate_hash():
+    draws = []
+
+    def make(draw):
+        draws.append(draw)
+        if len(draws) < 3:
+            raise DegenerateHash("redraw")
+        return draw
+
+    rng = random.Random(8)
+    assert sample_space(11, (ZQ, ZQ_STAR), random.Random(8), make) == draws[-1]
+    assert draws == [(sample_uniform(11, False, rng), sample_uniform(11, True, rng))
+                     for _ in range(3)]
+    with pytest.raises(NonInvertible):
+        sample_space(11, (ZQ,), random.Random(8), lambda draw: mod_inv(0, 11))
 
 
 # ------------------------------------------------------- fixed-base tables

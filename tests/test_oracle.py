@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 from dvsig.errors import GroupTooLarge, SchemeMismatch
+from dvsig.groupparams import GroupParams
+from dvsig.keys import KeyPair
 from dvsig.msghash import HashMode, raw_message
 from dvsig.oracle import (
     SCHEME_LEECHANG,
@@ -152,3 +154,29 @@ def test_wrong_key_census_udvs(toy, toy_signer, toy_verifier, m7):
 def test_census_rejects_non_recovery_scheme(toy, toy_signer, toy_verifier, m7):
     with pytest.raises(ValueError):
         wrong_key_recovery_census(toy, toy_signer, toy_verifier, m7, SCHEME_SAEEDNIA)
+    for scheme in (SCHEME_PV, "bogus"):
+        with pytest.raises(ValueError):
+            wrong_key_recovery_census(toy, toy_signer, toy_verifier, m7, scheme)
+
+
+# (cases, true_message, hash_accepted, unblinded), recorded from the
+# census's earlier per-scheme loops.  On toy23 the hash accepts exactly
+# the true messages; on (139, 23, 77) it accepts four times as many.
+CENSUS = {
+    ("toy23", SCHEME_LEECHANG): (990, 90, 90, 90),
+    ("toy23", SCHEME_UDVS): (10890, 990, 990, 990),
+    ("p139", SCHEME_LEECHANG): (10626, 462, 1848, 462),
+    ("p139", SCHEME_UDVS): (244398, 10626, 42504, 10626),
+}
+
+
+@pytest.mark.parametrize("group, scheme", sorted(CENSUS))
+def test_wrong_key_census_counts_exactly(group, scheme, toy, toy_signer, toy_verifier):
+    if group == "toy23":
+        params, signer, verifier = toy, toy_signer, toy_verifier
+    else:
+        params = GroupParams(p=139, q=23, g=77)
+        signer, verifier = KeyPair(x=11, y=64), KeyPair(x=19, y=106)
+    census = wrong_key_recovery_census(params, signer, verifier, raw_message(7, params), scheme)
+    assert (census.cases, census.true_message, census.hash_accepted,
+            census.unblinded) == CENSUS[group, scheme]
