@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import oracle as oraclemod
-from .errors import DVSError, GenerationTimeout, GroupTooLarge, InvalidPVSignature, InvalidSignature
+from .errors import (DVSError, DegenerateHash, GenerationTimeout, GroupTooLarge, InvalidPVSignature,
+                     InvalidSignature)
 from .groupparams import PRESETS, GroupParams, generate_params, validate_params
 from .keys import PublicKey, SecretKey, keygen
 from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
@@ -49,7 +50,9 @@ def _write_value(path: str, value) -> None:
         Path(path).write_text(wirefmt.armor(value))
 
 
-def _load(path: str, cls):
+def _load(path: str | None, cls, flag: str):
+    if path is None:
+        raise UsageError(f"{flag} is required for this invocation")
     return wirefmt.loads_expected(_read_bytes(path), cls)
 
 
@@ -67,14 +70,19 @@ def _hash_mode(args) -> HashMode:
     return HashMode.PRODUCTION
 
 
-def _load_message(args, params: GroupParams) -> Message:
-    if args.raw_residue is not None and args.message is not None:
-        raise UsageError("give either --message or --raw-residue, not both")
-    if args.raw_residue is not None:
-        return raw_message(args.raw_residue, params)
-    if args.message is not None:
-        return encode_message(_read_bytes(args.message), params)
-    raise UsageError("a message is required (--message FILE or --raw-residue N)")
+def _message(args, params: GroupParams, file_attr: str, residue_attr: str) -> Message | None:
+    """The message a file flag or a residue flag names; None for no expectation."""
+    path, residue = getattr(args, file_attr, None), getattr(args, residue_attr, None)
+    if path is not None and residue is not None:
+        flags = " or ".join(f"--{name.replace('_', '-')}" for name in (file_attr, residue_attr))
+        raise UsageError(f"give either {flags}, not both")
+    if residue is not None:
+        return raw_message(residue, params)
+    if path is not None:
+        return encode_message(_read_bytes(path), params)
+    if file_attr == "message":
+        raise UsageError("a message is required (--message FILE or --raw-residue N)")
+    return None
 
 
 def _print_recovered(msg: Message) -> None:
@@ -82,21 +90,6 @@ def _print_recovered(msg: Message) -> None:
         print(f"payload-hex: {msg.payload.hex()}")
     else:
         print(f"residue: {msg.value}")
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"{flag} is required for this invocation")
-    return value
-
-
-def _load_expected(args, params: GroupParams) -> Message | None:
-    """The message `verify --expect-message/--expect-residue` names, if any."""
-    if getattr(args, "expect_message", None) is not None:
-        return encode_message(_read_bytes(args.expect_message), params)
-    if getattr(args, "expect_residue", None) is not None:
-        return raw_message(args.expect_residue, params)
-    return None
 
 
 # ---------------------------------------------------------------- handlers
@@ -118,7 +111,7 @@ def cmd_params_gen(args) -> int:
 
 
 def cmd_params_check(args) -> int:
-    params = _load(args.in_path, GroupParams)
+    params = _load(args.in_path, GroupParams, "--in")
     report = validate_params(params)
     if report.valid:
         print("VALID")
@@ -129,7 +122,7 @@ def cmd_params_check(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    params = _load(args.params, GroupParams)
+    params = _load(args.params, GroupParams, "--params")
     pair = keygen(params, _make_rng(args), role=args.role)
     _write_value(args.out_secret, pair.secret())
     _write_value(args.out_public, pair.public())
@@ -138,14 +131,14 @@ def cmd_keygen(args) -> int:
 
 def cmd_sign(args) -> int:
     scheme = oraclemod.SCHEMES[args.scheme]
-    params = _load(args.params, GroupParams)
+    params = _load(args.params, GroupParams, "--params")
     mode = _hash_mode(args)
     rng = _make_rng(args)
-    message = _load_message(args, params)
-    signer = _load(_require(args.key, "--key"), SecretKey)
+    message = _message(args, params, "message", "raw_residue")
+    signer = _load(args.key, SecretKey, "--key")
     verifier = None
     if scheme.designated:
-        verifier = _load(_require(args.verifier_key, "--verifier-key"), PublicKey)
+        verifier = _load(args.verifier_key, PublicKey, "--verifier-key")
     sig = sample_space(params.q, scheme.sign_space, rng, lambda randomness: scheme.sign(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
@@ -160,15 +153,15 @@ def cmd_open(args) -> int:
     for name in unusable:
         if getattr(args, name, None) is not None:
             raise UsageError(f"--{name.replace('_', '-')} does not apply to --scheme {args.scheme}")
-    params = _load(args.params, GroupParams)
+    params = _load(args.params, GroupParams, "--params")
     mode = _hash_mode(args)
-    signer = _load(_require(args.signer_key, "--signer-key"), PublicKey)
-    verifier = _load(_require(args.key, "--key"), SecretKey) if scheme.designated else None
-    message = None if scheme.recovers else _load_message(args, params)
-    sig = _load(args.in_path, scheme.sig_type)
+    signer = _load(args.signer_key, PublicKey, "--signer-key")
+    verifier = _load(args.key, SecretKey, "--key") if scheme.designated else None
+    message = None if scheme.recovers else _message(args, params, "message", "raw_residue")
+    sig = _load(args.in_path, scheme.sig_type, "--in")
     raw = args.raw or None
     # Only `verify` takes an expectation, and PV is the one recovering scheme it offers.
-    expected = _load_expected(args, params)
+    expected = _message(args, params, "expect_message", "expect_residue")
     if expected is not None and psv_matches(params, signer.y, sig, expected, mode):
         print("ACCEPT")
         _print_recovered(recovered_message(expected.value, params, raw))
@@ -189,12 +182,12 @@ def cmd_open(args) -> int:
 
 
 def cmd_designate(args) -> int:
-    params = _load(args.params, GroupParams)
+    params = _load(args.params, GroupParams, "--params")
     mode = _hash_mode(args)
     rng = _make_rng(args)
-    signer_public = _load(_require(args.signer_key, "--signer-key"), PublicKey).y
-    verifier_public = _load(_require(args.verifier_key, "--verifier-key"), PublicKey).y
-    pv_sig = _load(args.in_path, PVSignature)
+    signer_public = _load(args.signer_key, PublicKey, "--signer-key").y
+    verifier_public = _load(args.verifier_key, PublicKey, "--verifier-key").y
+    pv_sig = _load(args.in_path, PVSignature, "--in")
     d = sample_uniform(params.q, False, rng)
     try:
         dv_sig = dsg(params, signer_public, verifier_public, pv_sig, d, mode)
@@ -207,12 +200,12 @@ def cmd_designate(args) -> int:
 
 def cmd_simulate(args) -> int:
     scheme = oraclemod.SCHEMES[args.scheme]
-    params = _load(args.params, GroupParams)
+    params = _load(args.params, GroupParams, "--params")
     mode = _hash_mode(args)
     rng = _make_rng(args)
-    message = _load_message(args, params)
-    signer = _load(_require(args.signer_key, "--signer-key"), PublicKey)
-    verifier = _load(_require(args.key, "--key"), SecretKey)
+    message = _message(args, params, "message", "raw_residue")
+    signer = _load(args.signer_key, PublicKey, "--signer-key")
+    verifier = _load(args.key, SecretKey, "--key")
     sig = sample_space(params.q, scheme.sim_space, rng, lambda randomness: scheme.simulate(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
@@ -220,7 +213,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = _load(args.params, GroupParams)
+    params = _load(args.params, GroupParams, "--params")
     if params.q < 3:  # Z_q* would hold one secret, shared by both parties
         raise UsageError(f"the oracle needs q >= 3 for two distinct keys, not q = {params.q}")
     rng = _make_rng(args)
@@ -377,7 +370,7 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (UsageError, GroupTooLarge, GenerationTimeout, ValueError, OSError) as exc:
+    except (UsageError, GroupTooLarge, DegenerateHash, GenerationTimeout, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DVSError as exc:

@@ -34,7 +34,7 @@ class InvalidRandomness(DVSError):
 
 
 class DegenerateHash(DVSError):
-    """The hash landed on a value the simulator cannot invert (r = 0)."""
+    """The hash landed on r = 0 (no inverse mod q) for one draw, or for every draw of a space."""
 
 
 class InvalidSignature(DVSError):

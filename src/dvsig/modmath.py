@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 import threading
+from math import prod
 
 from .errors import DegenerateHash, NonInvertible
 
@@ -193,12 +194,15 @@ def sample_uniform(bound: int, exclude_zero: bool, rng: random.Random) -> int:
 def sample_space(q: int, space, rng: random.Random, make=tuple):
     """make(draw) for a draw of one sample_uniform per component of space, in order.
 
-    A make that raises DegenerateHash rejects the draw, and a fresh one
-    is made; any other error propagates.
+    A make that raises DegenerateHash rejects the draw and a fresh one is
+    made, until every draw of the space is rejected; other errors propagate.
     """
+    rejected, size = set(), prod(q - (kind == ZQ_STAR) for kind in space)
     while True:
         draw = tuple(sample_uniform(q, kind == ZQ_STAR, rng) for kind in space)
         try:
             return make(draw)
         except DegenerateHash:
-            continue
+            rejected.add(draw)
+            if len(rejected) == size:
+                raise DegenerateHash(f"every one of the {size} draws of the space is degenerate")

@@ -7,8 +7,8 @@ can recover the message and verify,
     recover  m = c * t**s * y_A**-r mod p,
     accept iff  r = H(m, t**-s * y_A**r).
 
-Signing, range checks, opening and the hash check are sdvs_mr's shared
-core.  This is the publicly verifiable first stage of the universal
+Signing is sdvs_mr's _sign, and psv is one call to its _recover with
+c * g**-k2.  This is the publicly verifiable first stage of the universal
 designation flow; designation towards one verifier happens afterwards.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import InvalidSignature
 from .groupparams import GroupParams
 from .msghash import HashMode, Message
-from .sdvs_mr import RecoveryNonces, _accept, _check_ranges, _open, _sign
+from .sdvs_mr import RecoveryNonces, _recover, _sign
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ def psv(
     raw: bool | None = None,
 ) -> Message:
     """PV verification: recover m from public values only, or raise."""
-    _check_ranges(params, sig, "c")
-    u, unblind = _open(params, signer_public, sig)
-    return _accept(params, sig.c * unblind % params.p, u, sig.r, mode, raw)
+    return _recover(params, signer_public, sig, ("c",),
+                    lambda unblind: sig.c * unblind % params.p, mode, raw)
 
 
 def psv_matches(

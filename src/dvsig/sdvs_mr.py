@@ -19,8 +19,8 @@ unfold the message:
 
 PV (pv_scheme) blinds with B = g; UDVS (udvs) re-blinds a PV signature
 towards y_B.  The private helpers below are the shared core: _sign,
-_check_ranges, _open (u and g**-k2 from one t**s and one y_A**r),
-_accept (the hash check) and _simulate.
+_recover (every check of the three verifiers, in one order, around one
+opening of g**-k2 from one t**s and one y_A**r) and _simulate.
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1); the map
 (w1, w2) -> (k1, k2) = (x_A * w1**-1, x_A * w1**-1 * w2) is a bijection
@@ -81,9 +81,17 @@ def _sign(
     return t, m.value * blind % p, r, s
 
 
-def _check_ranges(params: GroupParams, sig, *units: str) -> None:
-    """Reject r or s outside [0, q), a named unit field outside [1, p),
-    or a t outside the order-q subgroup."""
+def _recover(
+    params: GroupParams, signer_public: int, sig, units, value, mode: HashMode, raw: bool | None
+) -> Message:
+    """The message recovered from sig, or InvalidSignature.
+
+    In order: r and s must lie in [0, q), each named unit field in
+    [1, p), t in the order-q subgroup without 1, e (where named) in that
+    subgroup and y_A in [1, p).  Then g**-k2 = t**s * y_A**-r opens the
+    signature, value(g**-k2) unblinds the message, and r = H(m, g**k2)
+    accepts it.
+    """
     p, q = params.p, params.q
     if not (0 <= sig.r < q and 0 <= sig.s < q):
         raise InvalidSignature("r or s outside [0, q)")
@@ -92,26 +100,17 @@ def _check_ranges(params: GroupParams, sig, *units: str) -> None:
             raise InvalidSignature(f"{name} outside [1, p)")
     if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
         raise InvalidSignature("t is not a nontrivial order-q subgroup element")
-
-
-def _open(params: GroupParams, signer_public: int, sig) -> tuple[int, int]:
-    """(u, u**-1) = (g**k2, g**-k2), opened as t**s * y_A**-r."""
-    p, q = params.p, params.q
+    if "e" in units and mod_exp(sig.e, q, p) != 1:
+        raise InvalidSignature("e is not an order-q subgroup element")
     # Outside [1, p) y_A**r can be 0, which has no inverse.
     if not 1 <= signer_public < p:
         raise InvalidSignature("signer public key outside [1, p)")
     y_r = pow_in_subgroup(signer_public, sig.r, p, q)
     unblind = pow_in_subgroup(sig.t, sig.s, p, q) * mod_inv(y_r, p) % p
-    return mod_inv(unblind, p), unblind
-
-
-def _accept(
-    params: GroupParams, value: int, u: int, r: int, mode: HashMode, raw: bool | None
-) -> Message:
-    """The recovered message if r = H(value, u); InvalidSignature otherwise."""
-    if hash_to_zq(value, u, params, mode) != r:
+    m = value(unblind)
+    if hash_to_zq(m, mod_inv(unblind, p), params, mode) != sig.r:
         raise InvalidSignature("hash check failed")
-    return recovered_message(value, params, raw)
+    return recovered_message(m, params, raw)
 
 
 def _simulate(
@@ -151,10 +150,9 @@ def mr_recover_verify(
     raw: bool | None = None,
 ) -> Message:
     """Recover the message and verify in one step; needs the verifier secret."""
-    _check_ranges(params, sig, "c")
-    u, unblind = _open(params, signer_public, sig)
-    value = sig.c * mod_exp(unblind, verifier_secret, params.p) % params.p
-    return _accept(params, value, u, sig.r, mode, raw)
+    p = params.p
+    return _recover(params, signer_public, sig, ("c",),
+                    lambda unblind: sig.c * mod_exp(unblind, verifier_secret, p) % p, mode, raw)
 
 
 def mr_simulate(

@@ -7,7 +7,7 @@ component with the verifier's public key,
     e = g**-d mod p,    w = c * y_B**d mod p,    d random in Z_q,
 
 and ships delta = (t, w, r, s, e).  Only the designated verifier can
-strip the blinding, on top of the PV opening of sdvs_mr's shared core:
+strip the blinding, by sdvs_mr's _recover with w * g**-k2 * e**x_B:
 
     recover  m = w * (t**s * y_A**-r * e**x_B) mod p,
     accept iff  r = H(m, t**-s * y_A**r).
@@ -31,7 +31,7 @@ from .groupparams import GroupParams
 from .modmath import mod_exp, pow_in_subgroup
 from .msghash import HashMode, Message
 from .pv_scheme import PVSignature, psv
-from .sdvs_mr import _accept, _check_ranges, _open, _simulate
+from .sdvs_mr import _recover, _simulate
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,10 @@ def dsv_recover(
     raw: bool | None = None,
 ) -> Message:
     """Recover and verify a DV signature; needs the designated verifier's secret."""
-    p, q = params.p, params.q
-    _check_ranges(params, sig, "w", "e")
-    if mod_exp(sig.e, q, p) != 1:
-        raise InvalidSignature("e is not an order-q subgroup element")
-    u, unblind = _open(params, signer_public, sig)
-    value = sig.w * unblind % p * mod_exp(sig.e, verifier_secret, p) % p
-    return _accept(params, value, u, sig.r, mode, raw)
+    p = params.p
+    return _recover(params, signer_public, sig, ("w", "e"),
+                    lambda unblind: sig.w * unblind % p * mod_exp(sig.e, verifier_secret, p) % p,
+                    mode, raw)
 
 
 def dv_simulate(

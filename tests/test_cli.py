@@ -236,6 +236,32 @@ def test_oracle_rejects_a_group_too_small_for_two_keys(tmp_path):
     assert b"q >= 3" in oracle.stderr
 
 
+def test_a_group_where_every_draw_is_degenerate_exits_two(tmp_path):
+    """On (5, 2, 4) residue 2 hashes to r = 0 under both of Saeednia's draws."""
+    params = tmp_path / "q2.params"
+    params.write_text(wirefmt.armor(GroupParams(p=5, q=2, g=4)))
+    keys = {name: str(tmp_path / name) for name in ("a.sec", "a.pub", "b.sec", "b.pub")}
+    for who, seed in (("a", "1"), ("b", "2")):
+        assert run(["keygen", "--params", str(params), "--seed", seed,
+                    "--out-secret", keys[f"{who}.sec"], "--out-public", keys[f"{who}.pub"]]) == 0
+    commands = {
+        "sign": ["--key", keys["a.sec"], "--verifier-key", keys["b.pub"]],
+        "simulate": ["--key", keys["b.sec"], "--signer-key", keys["a.pub"]],
+    }
+    for command, flags in commands.items():
+        for residue, code in (("2", 2), ("1", 0)):
+            # a subprocess with a timeout, so that a redraw loop that cannot end fails here
+            done = subprocess.run(
+                [sys.executable, "-m", "dvsig", command, "--scheme", "saeednia",
+                 "--params", str(params), *flags, "--raw-residue", residue,
+                 "--out", str(tmp_path / "out.sig")],
+                capture_output=True, timeout=60,
+            )
+            assert done.returncode == code, (command, residue, done.stderr)
+            if code == 2:
+                assert b"every one of the 2 draws" in done.stderr
+
+
 def test_usage_errors_exit_two(toyfiles, tmp_path):
     # unknown scheme is an argparse-level usage error
     assert run(["sign", "--scheme", "bogus", "--params", toyfiles["params"],
@@ -284,6 +310,8 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
     # PV carries its message, so a message given alongside would be ignored
     assert run([*pv, "--raw-residue", "8"]) == 2
     assert run([*pv, "--message", str(ssig)]) == 2
+    # both forms of the expectation, of which one would be ignored
+    assert run([*pv, "--expect-message", str(ssig), "--expect-residue", "7"]) == 2
 
 
 def test_malformed_inputs_exit_three(toyfiles, tmp_path):

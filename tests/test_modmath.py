@@ -128,6 +128,18 @@ def test_sample_space_redraws_only_on_a_degenerate_hash():
         sample_space(11, (ZQ,), random.Random(8), lambda draw: mod_inv(0, 11))
 
 
+def test_sample_space_gives_up_once_every_draw_is_rejected():
+    rejected = set()
+
+    def make(draw):
+        rejected.add(draw)
+        raise DegenerateHash("redraw")
+
+    with pytest.raises(DegenerateHash, match="every one of the 20 draws"):
+        sample_space(5, (ZQ_STAR, ZQ), random.Random(3), make)
+    assert len(rejected) == 20
+
+
 # ------------------------------------------------------- fixed-base tables
 
 # Table powers must equal the builtin pow bit for bit; tables are built

@@ -1,0 +1,29 @@
+"""The scripts under scripts/, run with their defaults, pinned by SHA-256 of stdout.
+
+The digests were recorded from an earlier commit.  scripts/modmath_layer.py
+prints timings, so its output is not pinned.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GOLDEN = {
+    "toy_walkthrough.py": "135637ddb7f96da815b8246142c814ae2ff844707dc0e00a8c6ba02256f73c46",
+    "distribution_audit.py": "0a57bf05e9323ee6a2d7db8cc0a66f4b2e43d4bf9d41d91f4c7527e8c0032b48",
+}
+
+
+@pytest.mark.parametrize("script", GOLDEN)
+def test_script_output_is_unchanged(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
+                          capture_output=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN[script]

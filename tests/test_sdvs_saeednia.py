@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import DegenerateHash, InvalidNonce, InvalidRandomness
+from dvsig.groupparams import GroupParams
 from dvsig.msghash import HashMode, encode_message, raw_message
 from dvsig.sdvs_saeednia import (
     SaeedniaNonces,
@@ -136,6 +137,18 @@ def test_random_mode_round_trip(toy, toy_signer, toy_verifier, seed):
     assert sds_verify(toy, toy_signer.y, toy_verifier.x, m, sig, STUB)
     sim = sds_simulate_random(toy, toy_signer.y, toy_verifier.x, m, random.Random(seed), STUB)
     assert sds_verify(toy, toy_signer.y, toy_verifier.x, m, sim, STUB)
+
+
+def test_random_mode_gives_up_when_every_draw_is_degenerate():
+    # On (5, 2, 4) the only key pair is (x, y) = (1, 4), and residue 2 hashes to
+    # r = 0 under the production hash for both draws of (k, t) and of (s', r').
+    params = GroupParams(p=5, q=2, g=4)
+    sign = lambda m: sds_sign_random(params, 1, 4, m, random.Random(0))
+    simulate = lambda m: sds_simulate_random(params, 4, 1, m, random.Random(0))
+    for random_mode in (sign, simulate):
+        with pytest.raises(DegenerateHash, match="every one of the 2 draws"):
+            random_mode(raw_message(2, params))
+        assert random_mode(raw_message(1, params)).r == 1
 
 
 def test_full_size_round_trip_production_hash(big, big_signer, big_verifier):
