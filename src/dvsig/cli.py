@@ -70,6 +70,13 @@ def _hash_mode(args) -> HashMode:
     return HashMode.PRODUCTION
 
 
+def _refuse(args, names, context: str) -> None:
+    """A usage error for the first flag of names that was given; context cannot use any of them."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} does not apply to {context}")
+
+
 def _message(args, params: GroupParams, file_attr: str, residue_attr: str) -> Message | None:
     """The message a file flag or a residue flag names; None for no expectation."""
     path, residue = getattr(args, file_attr, None), getattr(args, residue_attr, None)
@@ -85,8 +92,8 @@ def _message(args, params: GroupParams, file_attr: str, residue_attr: str) -> Me
     return None
 
 
-def _print_recovered(msg: Message) -> None:
-    if msg.payload is not None:
+def _print_recovered(msg: Message, raw: bool | None) -> None:
+    if msg.payload is not None and not raw:
         print(f"payload-hex: {msg.payload.hex()}")
     else:
         print(f"residue: {msg.value}")
@@ -96,11 +103,12 @@ def _print_recovered(msg: Message) -> None:
 
 
 def cmd_params_gen(args) -> int:
-    rng = _make_rng(args)
     if args.preset is not None:
+        _refuse(args, ("seed", "q_bits", "p_bits"), "--preset")
         params = PRESETS[args.preset]
     else:
-        params = generate_params(args.q_bits, args.p_bits, rng)
+        params = generate_params(256 if args.q_bits is None else args.q_bits,
+                                 2048 if args.p_bits is None else args.p_bits, _make_rng(args))
     report = validate_params(params)
     if not report.valid:  # cannot happen for our own output; fail loudly if it does
         for failure in report.failures:
@@ -131,14 +139,13 @@ def cmd_keygen(args) -> int:
 
 def cmd_sign(args) -> int:
     scheme = oraclemod.SCHEMES[args.scheme]
+    _refuse(args, () if scheme.designated else ("verifier_key",), f"--scheme {args.scheme}")
     params = _load(args.params, GroupParams, "--params")
     mode = _hash_mode(args)
     rng = _make_rng(args)
     message = _message(args, params, "message", "raw_residue")
     signer = _load(args.key, SecretKey, "--key")
-    verifier = None
-    if scheme.designated:
-        verifier = _load(args.verifier_key, PublicKey, "--verifier-key")
+    verifier = _load(args.verifier_key, PublicKey, "--verifier-key") if scheme.designated else None
     sig = sample_space(params.q, scheme.sign_space, rng, lambda randomness: scheme.sign(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
@@ -148,36 +155,35 @@ def cmd_sign(args) -> int:
 def cmd_open(args) -> int:
     """verify, recover and dverify: open a signature, print ACCEPT or REJECT."""
     scheme = oraclemod.SCHEMES[args.scheme]
-    # A recovering scheme carries its message; a non-recovering one has nothing to expect.
-    unusable = ("message", "raw_residue") if scheme.recovers else ("expect_message", "expect_residue")
-    for name in unusable:
-        if getattr(args, name, None) is not None:
-            raise UsageError(f"--{name.replace('_', '-')} does not apply to --scheme {args.scheme}")
+    # A recovering scheme carries its message; a non-recovering one has none to expect or to
+    # print raw.  An undesignated one opens with public values only.
+    unusable = ("message", "raw_residue") if scheme.recovers else ("expect_message", "expect_residue",
+                                                                     "raw")
+    _refuse(args, unusable + (() if scheme.designated else ("key",)), f"--scheme {args.scheme}")
     params = _load(args.params, GroupParams, "--params")
     mode = _hash_mode(args)
     signer = _load(args.signer_key, PublicKey, "--signer-key")
     verifier = _load(args.key, SecretKey, "--key") if scheme.designated else None
     message = None if scheme.recovers else _message(args, params, "message", "raw_residue")
     sig = _load(args.in_path, scheme.sig_type, "--in")
-    raw = args.raw or None
     # Only `verify` takes an expectation, and PV is the one recovering scheme it offers.
     expected = _message(args, params, "expect_message", "expect_residue")
     if expected is not None and psv_matches(params, signer.y, sig, expected, mode):
         print("ACCEPT")
-        _print_recovered(recovered_message(expected.value, params, raw))
+        _print_recovered(recovered_message(expected.value, params), args.raw)
         return EXIT_OK
     try:
-        recovered = scheme.open(params, signer, verifier, message, sig, mode, raw)
+        recovered = scheme.open(params, signer, verifier, message, sig, mode)
     except InvalidSignature:
         print("REJECT")
         return EXIT_REJECT
     if expected is not None:  # valid, but for another message
         print("REJECT")
-        _print_recovered(recovered)
+        _print_recovered(recovered, args.raw)
         return EXIT_REJECT
     print("ACCEPT")
     if scheme.recovers:
-        _print_recovered(recovered)
+        _print_recovered(recovered, args.raw)
     return EXIT_OK
 
 
@@ -272,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     params_sub = params.add_subparsers(dest="params_command", required=True)
 
     gen = params_sub.add_parser("gen", help="generate a fresh group (or emit a preset)")
-    gen.add_argument("--q-bits", type=int, default=256)
-    gen.add_argument("--p-bits", type=int, default=2048)
+    gen.add_argument("--q-bits", type=int, default=None, help="subgroup order bits (default 256)")
+    gen.add_argument("--p-bits", type=int, default=None, help="modulus bits (default 2048)")
     gen.add_argument("--preset", choices=sorted(PRESETS), default=None)
     gen.add_argument("--out", required=True)
     _add_common(gen, hash_mode=False)
@@ -310,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--in", dest="in_path", required=True)
     verify.add_argument("--expect-message", help="payload file the recovered message must equal (pv)")
     verify.add_argument("--expect-residue", type=int, default=None)
-    verify.add_argument("--raw", action="store_true", help="report the recovered residue undecoded")
-    _add_common(verify)
+    verify.add_argument("--raw", action="store_true", default=None, help="print the residue undecoded")
+    _add_common(verify, seed=False)
     verify.set_defaults(handler=cmd_open)
 
     recover = commands.add_parser("recover", help="recover the message from a signature")
@@ -320,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--key", help="verifier secret key file (leechang)")
     recover.add_argument("--signer-key", help="signer public key file")
     recover.add_argument("--in", dest="in_path", required=True)
-    recover.add_argument("--raw", action="store_true")
-    _add_common(recover)
+    recover.add_argument("--raw", action="store_true", default=None)
+    _add_common(recover, seed=False)
     recover.set_defaults(handler=cmd_open)
 
     designate = commands.add_parser("designate", help="turn a PV signature into a DV signature")
@@ -338,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     dverify.add_argument("--key", help="verifier secret key file")
     dverify.add_argument("--signer-key", help="signer public key file")
     dverify.add_argument("--in", dest="in_path", required=True)
-    dverify.add_argument("--raw", action="store_true")
-    _add_common(dverify)
+    dverify.add_argument("--raw", action="store_true", default=None)
+    _add_common(dverify, seed=False)
     dverify.set_defaults(handler=cmd_open, scheme=oraclemod.SCHEME_UDVS)
 
     simulate = commands.add_parser("simulate", help="produce a verifier-side transcript")

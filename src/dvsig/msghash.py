@@ -3,8 +3,9 @@
 Messages are residues m in [1, p-1].  On groups large enough for byte
 framing, a payload is encoded as the big-endian integer of
 0x01 || payload, which keeps m >= 1 and makes decoding unambiguous.
-Toy-sized groups cannot frame payloads; there a message is a bare
-residue ("raw-residue mode") supplied and reported as an integer.
+A bare residue ("raw-residue mode") is supplied and reported as an
+integer; it is all that toy groups carry.  Recovery decodes a residue
+that carries the framing and returns any other one bare, so it never fails.
 
 The hash H(m, u) -> Z_q comes in two modes: a production mode backed by
 SHA-256 with a fixed domain tag, and a hand-computable stub
@@ -32,7 +33,7 @@ class HashMode(Enum):
 
 @dataclass(frozen=True)
 class Message:
-    """A message residue; payload is None in raw-residue mode."""
+    """A message residue; payload is None for a bare residue."""
 
     value: int
     payload: bytes | None = None
@@ -76,17 +77,14 @@ def raw_message(value: int, params: GroupParams) -> Message:
     return Message(value=value)
 
 
-def recovered_message(value: int, params: GroupParams, raw: bool | None = None) -> Message:
-    """Wrap a residue recovered during verification.
-
-    With raw=None the payload framing is decoded exactly when the group
-    is large enough to support it.
-    """
-    if raw is None:
-        raw = not supports_payload(params)
-    if raw:
-        return Message(value=value)
-    return Message(value=value, payload=decode_message(value, params))
+def recovered_message(value: int, params: GroupParams) -> Message:
+    """A recovered residue, its payload decoded where it carries the framing; never raises."""
+    if supports_payload(params):
+        try:
+            return Message(value=value, payload=decode_message(value, params))
+        except MalformedEncoding:
+            pass
+    return Message(value=value)
 
 
 def hash_to_zq(m: int, u: int, params: GroupParams, mode: HashMode) -> int:

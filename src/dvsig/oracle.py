@@ -65,13 +65,13 @@ class Scheme:
     recovers: bool  # the signature carries the message
     sign_space: tuple[str, ...]  # signer randomness, ZQ or ZQ_STAR per component, in draw order
     sign: Callable  # (params, a, b, m, randomness, mode) -> signature
-    open: Callable  # (params, a, b, m, sig, mode, raw) -> accepted Message, else InvalidSignature
+    open: Callable  # (params, a, b, m, sig, mode) -> the Message it accepts, else InvalidSignature
     forgery: tuple[str, ...]  # the range of each signature field, in field order
     sim_space: tuple[str, ...] = ()
     simulate: Callable | None = None  # (params, a, b, m, randomness, mode) -> signature
 
 
-def _sds_open(params, a, b, m, sig, mode, raw):
+def _sds_open(params, a, b, m, sig, mode):
     """sds_verify as an opener; Saeednia recovers nothing, so an accept returns m."""
     if not sds_verify(params, a.y, b.x, m, sig, mode):
         raise InvalidSignature("Saeednia verification failed")
@@ -98,8 +98,7 @@ SCHEMES = {
         RecoverySignature, designated=True, recovers=True, sign_space=(ZQ_STAR, ZQ),
         sign=lambda params, a, b, m, rand, mode: mr_sign(
             params, a.x, b.y, m, RecoveryNonces(*rand), mode),
-        open=lambda params, a, b, m, sig, mode, raw: mr_recover_verify(
-            params, a.y, b.x, sig, mode, raw),
+        open=lambda params, a, b, m, sig, mode: mr_recover_verify(params, a.y, b.x, sig, mode),
         forgery=(SUBGROUP, UNIT, ZQ, ZQ), sim_space=(ZQ_STAR, ZQ),
         simulate=lambda params, a, b, m, rand, mode: mr_simulate(
             params, a.y, b.x, m, *rand, mode),
@@ -108,7 +107,7 @@ SCHEMES = {
         PVSignature, designated=False, recovers=True, sign_space=(ZQ_STAR, ZQ),
         sign=lambda params, a, b, m, rand, mode: psg(
             params, a.x, m, RecoveryNonces(*rand), mode),
-        open=lambda params, a, b, m, sig, mode, raw: psv(params, a.y, sig, mode, raw),
+        open=lambda params, a, b, m, sig, mode: psv(params, a.y, sig, mode),
         forgery=(SUBGROUP, UNIT, ZQ, ZQ),
     ),
     SCHEME_UDVS: Scheme(
@@ -116,8 +115,7 @@ SCHEMES = {
         DVSignature, designated=True, recovers=True, sign_space=(ZQ_STAR, ZQ, ZQ),
         sign=lambda params, a, b, m, rand, mode: dsg(
             params, a.y, b.y, _pv_signed(params, a.x, m, *rand[:2], mode), rand[2], mode),
-        open=lambda params, a, b, m, sig, mode, raw: dsv_recover(
-            params, a.y, b.x, sig, mode, raw),
+        open=lambda params, a, b, m, sig, mode: dsv_recover(params, a.y, b.x, sig, mode),
         forgery=(SUBGROUP, UNIT, ZQ, ZQ, UNIT), sim_space=(ZQ_STAR, ZQ, ZQ),
         simulate=lambda params, a, b, m, rand, mode: dv_simulate(
             params, a.y, b.x, m, SimulatorRandomness(*rand), mode),
@@ -257,7 +255,7 @@ def forgery_acceptance(
     for _ in range(trials):
         sig = random_forgery(params, scheme, rng)
         try:
-            entry.open(params, signer, verifier, m, sig, mode, True)
+            entry.open(params, signer, verifier, m, sig, mode)
         except InvalidSignature:
             continue
         accepted += 1

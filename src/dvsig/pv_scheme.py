@@ -46,11 +46,10 @@ def psv(
     signer_public: int,
     sig: PVSignature,
     mode: HashMode = HashMode.PRODUCTION,
-    raw: bool | None = None,
 ) -> Message:
     """PV verification: recover m from public values only, or raise."""
     return _recover(params, signer_public, sig, ("c",),
-                    lambda unblind: sig.c * unblind % params.p, mode, raw)
+                    lambda unblind: sig.c * unblind % params.p, mode)
 
 
 def psv_matches(
@@ -62,7 +61,7 @@ def psv_matches(
 ) -> bool:
     """Companion form that also compares against a caller-supplied message."""
     try:
-        recovered = psv(params, signer_public, sig, mode, raw=True)
+        recovered = psv(params, signer_public, sig, mode)
     except InvalidSignature:
         return False
     return recovered.value == m_claimed.value

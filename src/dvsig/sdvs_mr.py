@@ -81,16 +81,14 @@ def _sign(
     return t, m.value * blind % p, r, s
 
 
-def _recover(
-    params: GroupParams, signer_public: int, sig, units, value, mode: HashMode, raw: bool | None
-) -> Message:
+def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: HashMode) -> Message:
     """The message recovered from sig, or InvalidSignature.
 
     In order: r and s must lie in [0, q), each named unit field in
     [1, p), t in the order-q subgroup without 1, e (where named) in that
     subgroup and y_A in [1, p).  Then g**-k2 = t**s * y_A**-r opens the
     signature, value(g**-k2) unblinds the message, and r = H(m, g**k2)
-    accepts it.
+    accepts it, as msghash.recovered_message(m): a bare residue is no error.
     """
     p, q = params.p, params.q
     if not (0 <= sig.r < q and 0 <= sig.s < q):
@@ -110,7 +108,7 @@ def _recover(
     m = value(unblind)
     if hash_to_zq(m, mod_inv(unblind, p), params, mode) != sig.r:
         raise InvalidSignature("hash check failed")
-    return recovered_message(m, params, raw)
+    return recovered_message(m, params)
 
 
 def _simulate(
@@ -147,12 +145,11 @@ def mr_recover_verify(
     verifier_secret: int,
     sig: RecoverySignature,
     mode: HashMode = HashMode.PRODUCTION,
-    raw: bool | None = None,
 ) -> Message:
     """Recover the message and verify in one step; needs the verifier secret."""
     p = params.p
     return _recover(params, signer_public, sig, ("c",),
-                    lambda unblind: sig.c * mod_exp(unblind, verifier_secret, p) % p, mode, raw)
+                    lambda unblind: sig.c * mod_exp(unblind, verifier_secret, p) % p, mode)
 
 
 def mr_simulate(

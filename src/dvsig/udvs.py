@@ -66,7 +66,7 @@ def dsg(
     blinder, e = 1).
     """
     try:
-        psv(params, signer_public, pv_sig, mode, raw=True)
+        psv(params, signer_public, pv_sig, mode)
     except InvalidSignature as exc:
         raise InvalidPVSignature(f"refusing to designate: {exc}") from exc
     p, q = params.p, params.q
@@ -82,13 +82,12 @@ def dsv_recover(
     verifier_secret: int,
     sig: DVSignature,
     mode: HashMode = HashMode.PRODUCTION,
-    raw: bool | None = None,
 ) -> Message:
     """Recover and verify a DV signature; needs the designated verifier's secret."""
     p = params.p
     return _recover(params, signer_public, sig, ("w", "e"),
                     lambda unblind: sig.w * unblind % p * mod_exp(sig.e, verifier_secret, p) % p,
-                    mode, raw)
+                    mode)
 
 
 def dv_simulate(

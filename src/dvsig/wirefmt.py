@@ -8,7 +8,7 @@ zero magnitude byte, or trailing bytes all reject, so each value has
 exactly one valid byte string.
 
 Files carry blobs in a PEM-like armor (base64 between BEGIN/END
-header lines); pipes carry raw blobs.
+lines whose label names the blob's kind); pipes carry raw blobs.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def decode(blob: bytes):
 
 def armor(value) -> str:
     """PEM-like text block wrapping the canonical blob."""
-    label = _BY_TYPE[type(value)][2]
     body = base64.b64encode(encode(value)).decode("ascii")
+    label = _BY_TYPE[type(value)][2]
     lines = [body[i : i + 64] for i in range(0, len(body), 64)] or [""]
     return f"-----BEGIN {label}-----\n" + "\n".join(lines) + f"\n-----END {label}-----\n"
 
@@ -130,13 +130,17 @@ def dearmor(text: str) -> bytes:
 
 
 def loads(data: bytes):
-    """Decode raw or armored bytes into the carried object."""
+    """Decode raw or armored bytes into the carried object; an armor label must name its kind."""
     if data.lstrip().startswith(b"-----BEGIN "):
         try:
             text = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise Malformed("armored block is not ASCII") from exc
-        return decode(dearmor(text))
+        value = decode(dearmor(text))
+        label = _BY_TYPE[type(value)][2]
+        if not text.lstrip().startswith(f"-----BEGIN {label}-----"):
+            raise Malformed(f"a {type(value).__name__} blob must be armored as {label!r}")
+        return value
     return decode(data)
 
 

@@ -1,10 +1,12 @@
+import argparse
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dvsig import wirefmt
-from dvsig.cli import run
+from dvsig import oracle, wirefmt
+from dvsig.cli import build_parser, run
 from dvsig.groupparams import GroupParams, TOY23
 from dvsig.keys import PublicKey
 from dvsig.pv_scheme import PVSignature
@@ -222,6 +224,21 @@ def test_oracle_subcommand(toyfiles, capsys):
                 "--raw-residue", "3", "--seed", "77"]) == 0
 
 
+def test_oracle_reports_a_distinguishable_pair(toyfiles, capsys, monkeypatch):
+    enumerate_simulated = oracle.enumerate_simulated
+
+    def skewed(*args):
+        simulated = enumerate_simulated(*args)
+        simulated.counts[(0, 0, 0, 0)] += 1
+        return simulated
+
+    monkeypatch.setattr(oracle, "enumerate_simulated", skewed)
+    assert run(["oracle", "--scheme", "leechang", "--params", toyfiles["params"]]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict: DISTINGUISHABLE" in out
+    assert out[-1] == "diff: only in second multiset: (0, 0, 0, 0) x1"
+
+
 def test_oracle_rejects_a_group_too_small_for_two_keys(tmp_path):
     """q = 2 leaves one secret in Z_q*, so two distinct parties cannot exist."""
     params = tmp_path / "q2.params"
@@ -312,6 +329,62 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
     assert run([*pv, "--message", str(ssig)]) == 2
     # both forms of the expectation, of which one would be ignored
     assert run([*pv, "--expect-message", str(ssig), "--expect-residue", "7"]) == 2
+    # Saeednia recovers nothing, so there is nothing to print raw
+    assert run([*saeednia, "--raw"]) == 2
+    # PV opens with public values only, so a verifier key would be ignored
+    assert run([*pv, "--key", toyfiles["verifier_sec"]]) == 2
+    pv_recover = ["recover", *pv[1:]]
+    assert run(pv_recover) == 0
+    assert run([*pv_recover, "--key", toyfiles["verifier_sec"]]) == 2
+    # PV is not designated, so signing ignores a verifier key
+    pv_sign = ["sign", "--scheme", "pv", "--params", toyfiles["params"],
+               "--key", toyfiles["signer_sec"], "--raw-residue", "7", *STUBBED]
+    assert run([*pv_sign, "--out", str(tmp_path / "a.pvsig")]) == 0
+    assert run([*pv_sign, "--verifier-key", toyfiles["verifier_pub"],
+                "--out", str(tmp_path / "b.pvsig")]) == 2
+    assert not (tmp_path / "b.pvsig").exists()
+    # a preset is written as it is, so generation flags would be dropped
+    preset = ["params", "gen", "--preset", "toy23"]
+    assert run([*preset, "--out", str(tmp_path / "preset.params")]) == 0
+    for flag in (["--seed", "1"], ["--q-bits", "8"], ["--p-bits", "24"]):
+        assert run([*preset, *flag, "--out", str(tmp_path / "flagged.params")]) == 2
+        assert not (tmp_path / "flagged.params").exists()
+
+
+# Every option of every subcommand; a flag that no handler reads does not belong here.
+OPTIONS = {
+    "params gen": {"--q-bits", "--p-bits", "--preset", "--out", "--seed"},
+    "params check": {"--in"},
+    "keygen": {"--params", "--role", "--out-secret", "--out-public", "--seed"},
+    "sign": {"--scheme", "--params", "--key", "--verifier-key", "--message", "--raw-residue",
+             "--out", "--seed", "--hash", "--allow-insecure"},
+    "verify": {"--scheme", "--params", "--key", "--signer-key", "--message", "--raw-residue",
+               "--in", "--expect-message", "--expect-residue", "--raw", "--hash",
+               "--allow-insecure"},
+    "recover": {"--scheme", "--params", "--key", "--signer-key", "--in", "--raw", "--hash",
+                "--allow-insecure"},
+    "designate": {"--params", "--signer-key", "--verifier-key", "--in", "--out", "--seed",
+                  "--hash", "--allow-insecure"},
+    "dverify": {"--params", "--key", "--signer-key", "--in", "--raw", "--hash",
+                "--allow-insecure"},
+    "simulate": {"--scheme", "--params", "--key", "--signer-key", "--message", "--raw-residue",
+                 "--out", "--seed", "--hash", "--allow-insecure"},
+    "oracle": {"--scheme", "--params", "--raw-residue", "--seed"},
+}
+
+
+def _options(parser, command=()):
+    """{command: its option strings, without --help} for every leaf subcommand under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {name: opts for sub_name, sub in action.choices.items()
+                    for name, opts in _options(sub, (*command, sub_name)).items()}
+    return {" ".join(command): {option for action in parser._actions if action.dest != "help"
+                                for option in action.option_strings}}
+
+
+def test_each_subcommand_has_exactly_its_options():
+    assert _options(build_parser()) == OPTIONS
 
 
 def test_malformed_inputs_exit_three(toyfiles, tmp_path):
@@ -322,6 +395,10 @@ def test_malformed_inputs_exit_three(toyfiles, tmp_path):
     # wrong kind: params where a signature is expected
     assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
                 "--signer-key", toyfiles["signer_pub"], "--in", toyfiles["params"]]) == 3
+    # params armored under the public key label
+    relabelled = tmp_path / "relabelled.params"
+    relabelled.write_text(Path(toyfiles["params"]).read_text().replace("PARAMS", "PUBLIC KEY"))
+    assert run(["params", "check", "--in", str(relabelled)]) == 3
     # oversized message payload for the group
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"far too long for a toy group")
@@ -354,6 +431,54 @@ def test_raw_blob_piping_between_processes(toyfiles):
     )
     assert verify.returncode == 0
     assert b"ACCEPT" in verify.stdout
+
+
+@pytest.fixture(scope="module")
+def bare(tmp_path_factory):
+    """PV, Lee-Chang and designated signatures of residue 7, which is no framed payload,
+    on a group that frames payloads."""
+    d = tmp_path_factory.mktemp("bare")
+    f = {name: str(d / name) for name in ("params", "a.sec", "a.pub", "b.sec", "b.pub",
+                                          "m.pvsig", "m.rsig", "m.dvsig")}
+    group = ["--params", f["params"]]
+    steps = [
+        ["params", "gen", "--q-bits", "16", "--p-bits", "64", "--seed", "1", "--out", f["params"]],
+        ["keygen", *group, "--seed", "1", "--out-secret", f["a.sec"], "--out-public", f["a.pub"]],
+        ["keygen", *group, "--seed", "2", "--out-secret", f["b.sec"], "--out-public", f["b.pub"]],
+        ["sign", "--scheme", "pv", *group, "--key", f["a.sec"], "--raw-residue", "7",
+         "--seed", "1", "--out", f["m.pvsig"]],
+        ["sign", "--scheme", "leechang", *group, "--key", f["a.sec"], "--verifier-key", f["b.pub"],
+         "--raw-residue", "7", "--seed", "1", "--out", f["m.rsig"]],
+        ["designate", *group, "--signer-key", f["a.pub"], "--verifier-key", f["b.pub"],
+         "--in", f["m.pvsig"], "--seed", "1", "--out", f["m.dvsig"]],
+    ]
+    for argv in steps:
+        assert run(argv) == 0, argv
+    return f
+
+
+BARE_CASES = {
+    "verify-pv-expected": (lambda f: ["verify", "--scheme", "pv", "--signer-key", f["a.pub"],
+                                      "--in", f["m.pvsig"], "--expect-residue", "7"],
+                           "ACCEPT\nresidue: 7\n", 0),
+    "verify-pv-other": (lambda f: ["verify", "--scheme", "pv", "--signer-key", f["a.pub"],
+                                   "--in", f["m.pvsig"], "--expect-residue", "8"],
+                        "REJECT\nresidue: 7\n", 1),
+    "recover-pv": (lambda f: ["recover", "--scheme", "pv", "--signer-key", f["a.pub"],
+                              "--in", f["m.pvsig"]], "ACCEPT\nresidue: 7\n", 0),
+    "recover-leechang": (lambda f: ["recover", "--scheme", "leechang", "--key", f["b.sec"],
+                                    "--signer-key", f["a.pub"], "--in", f["m.rsig"]],
+                         "ACCEPT\nresidue: 7\n", 0),
+    "dverify": (lambda f: ["dverify", "--key", f["b.sec"], "--signer-key", f["a.pub"],
+                           "--in", f["m.dvsig"]], "ACCEPT\nresidue: 7\n", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BARE_CASES))
+def test_a_valid_signature_of_a_bare_residue_is_not_malformed(bare, capsys, case):
+    argv, stdout, code = BARE_CASES[case]
+    assert run([*argv(bare), "--params", bare["params"]]) == code
+    assert capsys.readouterr().out == stdout
 
 
 def test_full_size_message_file_pipeline(tmp_path, big):

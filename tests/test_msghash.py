@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from dvsig.errors import MalformedEncoding, MessageTooLong, OutOfRange
 from dvsig.msghash import (
     HashMode,
+    Message,
     decode_message,
     encode_message,
     hash_to_zq,
@@ -58,6 +59,14 @@ def test_raw_residue_mode_passthrough(toy):
         raw_message(0, toy)
     with pytest.raises(OutOfRange):
         raw_message(toy.p, toy)
+
+
+def test_recovered_message_decodes_only_framed_residues(midsize):
+    assert recovered_message(encode_message(b"A", midsize).value, midsize) == Message(321, b"A")
+    assert recovered_message(1, midsize) == Message(1, b"")
+    # a residue without the prefix byte stays a bare residue instead of raising
+    assert recovered_message(7, midsize) == Message(7)
+    assert recovered_message(0x0201, midsize) == Message(0x0201)
 
 
 @given(st.binary(max_size=254))

@@ -1,14 +1,16 @@
 """Behaviour shared by the three users of the recovery core in sdvs_mr."""
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from dvsig.errors import InvalidSignature
-from dvsig.msghash import HashMode
-from dvsig.pv_scheme import PVSignature, psv
-from dvsig.sdvs_mr import RecoverySignature, mr_recover_verify
-from dvsig.udvs import DVSignature, dsv_recover
+from dvsig.keys import keygen
+from dvsig.msghash import HashMode, Message, encode_message, raw_message
+from dvsig.pv_scheme import PVSignature, psg, psv
+from dvsig.sdvs_mr import RecoveryNonces, RecoverySignature, mr_recover_verify, mr_sign
+from dvsig.udvs import DVSignature, dsg, dsv_recover
 
 STUB = HashMode.STUB
 
@@ -95,3 +97,20 @@ def test_each_designation_fault_rejects_with_its_message(toy, fault):
     with pytest.raises(InvalidSignature) as exc:
         verify(toy, y, replace(sig, **fields))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("payload", [None, b"ok"], ids=["bare-residue", "payload"])
+def test_openers_return_what_they_recover(midsize, payload):
+    """On a group that frames payloads a bare residue comes back bare, a payload decoded."""
+    rng = random.Random(5)
+    signer, verifier = keygen(midsize, rng), keygen(midsize, rng)
+    m = raw_message(7, midsize) if payload is None else encode_message(payload, midsize)
+    nonces = RecoveryNonces(3, 4)
+    pv_sig = psg(midsize, signer.x, m, nonces)
+    opened = [
+        psv(midsize, signer.y, pv_sig),
+        mr_recover_verify(midsize, signer.y, verifier.x,
+                          mr_sign(midsize, signer.x, verifier.y, m, nonces)),
+        dsv_recover(midsize, signer.y, verifier.x, dsg(midsize, signer.y, verifier.y, pv_sig, 5)),
+    ]
+    assert opened == [Message(m.value, payload)] * 3

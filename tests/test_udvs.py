@@ -85,7 +85,7 @@ def test_forged_e_probe_rejects_every_guess(request, group, ell):
                              r=sig.r, s=sig.s, e=sig.e * h % p)
         leaks += forged.w * opened * mod_exp(forged.e, verifier.x, p) % p == m.value
         with pytest.raises(InvalidSignature):
-            dsv_recover(params, signer.y, verifier.x, forged, STUB, raw=True)
+            dsv_recover(params, signer.y, verifier.x, forged, STUB)
     assert leaks == 1  # the probe is live: without the e check one guess passes
 
 

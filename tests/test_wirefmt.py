@@ -1,3 +1,4 @@
+import base64
 import random
 
 import pytest
@@ -149,3 +150,39 @@ def test_decode_never_crashes_on_noise(noise):
         return
     # anything that decodes must re-encode to the identical bytes
     assert wirefmt.encode(value) == noise
+
+
+KINDS = [TOY23, PublicKey(18), SecretKey(5), SaeedniaSignature(2, 2, 3),
+         RecoverySignature(16, 21, 3, 3), PVSignature(16, 11, 3, 3), DVSignature(16, 5, 3, 3, 8)]
+LABELS = ["DVS PARAMS", "DVS PUBLIC KEY", "DVS SECRET KEY", "DVS SIGNATURE"]
+
+
+@pytest.mark.parametrize("value", KINDS, ids=lambda value: type(value).__name__)
+def test_loads_rejects_a_blob_under_another_kinds_label(value):
+    text = wirefmt.armor(value)
+    own = next(label for label in LABELS if f"-----BEGIN {label}-----" in text)
+    assert wirefmt.loads(text.encode()) == value
+    for label in LABELS:
+        if label != own:
+            with pytest.raises(Malformed, match="must be armored as"):
+                wirefmt.loads(text.replace(own, label).encode())
+
+
+def test_loads_rejects_broken_armor():
+    body = base64.b64encode(wirefmt.encode(TOY23)).decode()
+    with pytest.raises(Malformed, match="too short"):
+        wirefmt.loads(b"-----BEGIN DVS PARAMS-----\n")
+    with pytest.raises(Malformed, match="missing BEGIN"):
+        wirefmt.dearmor(f"{body}\n-----END DVS PARAMS-----\n")
+    with pytest.raises(Malformed, match="missing END"):
+        wirefmt.loads(f"-----BEGIN DVS PARAMS-----\n{body}\n".encode())
+    with pytest.raises(Malformed, match="not ASCII"):
+        wirefmt.loads("-----BEGIN DVS PARAMS-----\n\u00e9\n-----END DVS PARAMS-----\n".encode())
+
+
+def test_encode_rejects_what_has_no_wire_form():
+    with pytest.raises(ValueError, match="non-negative"):
+        wirefmt.encode(PublicKey(-1))
+    for encoder in (wirefmt.encode, wirefmt.armor):
+        with pytest.raises(TypeError, match="cannot encode"):
+            encoder(object())
