@@ -1,8 +1,11 @@
 """Command line front end for the full workflow.
 
 Subcommands: params gen|check, keygen, sign, verify, recover,
-designate, dverify, simulate, oracle.  File arguments accept "-" for
-raw blobs on stdin/stdout; named files are written armored.
+designate, dverify, simulate, oracle; _FLAGS defines each shared flag
+once.  File arguments accept "-" for raw blobs on stdin/stdout, at most
+one "-" each way; named files are written armored.  Commands that load
+--params refuse (exit 3) a group failing q >= 2, q | p - 1 or 1 < g < p,
+the checks that need no exponentiation; `params check` runs them all.
 
 Exit codes: 0 success/accept, 1 verification reject, 2 usage error,
 3 malformed input.
@@ -17,8 +20,8 @@ from pathlib import Path
 
 from . import oracle as oraclemod
 from .errors import (DVSError, DegenerateHash, GenerationTimeout, GroupTooLarge, InvalidPVSignature,
-                     InvalidSignature)
-from .groupparams import PRESETS, GroupParams, generate_params, validate_params
+                     InvalidSignature, Malformed)
+from .groupparams import PRESETS, GroupParams, _shape_failures, generate_params, validate_params
 from .keys import PublicKey, SecretKey, keygen
 from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
 from .pv_scheme import PVSignature, psv_matches
@@ -34,6 +37,14 @@ EXIT_MALFORMED = 3
 
 class UsageError(Exception):
     """Flag combinations the parser alone cannot rule out."""
+
+
+class _In(str):
+    """A file argument that is read; "-" is stdin."""
+
+
+class _Out(str):
+    """A file argument that is written; "-" is stdout."""
 
 
 def _read_bytes(path: str) -> bytes:
@@ -54,6 +65,22 @@ def _load(path: str | None, cls, flag: str):
     if path is None:
         raise UsageError(f"{flag} is required for this invocation")
     return wirefmt.loads_expected(_read_bytes(path), cls)
+
+
+def _load_params(args) -> GroupParams:
+    """The --params group, malformed when a check that needs no exponentiation fails."""
+    params = _load(args.params, GroupParams, "--params")
+    failures = _shape_failures(params)
+    if failures:
+        raise Malformed(f"--params: {failures[0]}")
+    return params
+
+
+def _one_dash_each_way(args) -> None:
+    """A usage error for two "-" file arguments, which would share stdin or stdout."""
+    for kind, stream in ((_In, "stdin"), (_Out, "stdout")):
+        if sum(isinstance(value, kind) and value == "-" for value in vars(args).values()) > 1:
+            raise UsageError(f"only one file argument can be '-' ({stream})")
 
 
 def _make_rng(args) -> random.Random:
@@ -130,7 +157,7 @@ def cmd_params_check(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    params = _load(args.params, GroupParams, "--params")
+    params = _load_params(args)
     pair = keygen(params, _make_rng(args), role=args.role)
     _write_value(args.out_secret, pair.secret())
     _write_value(args.out_public, pair.public())
@@ -140,7 +167,7 @@ def cmd_keygen(args) -> int:
 def cmd_sign(args) -> int:
     scheme = oraclemod.SCHEMES[args.scheme]
     _refuse(args, () if scheme.designated else ("verifier_key",), f"--scheme {args.scheme}")
-    params = _load(args.params, GroupParams, "--params")
+    params = _load_params(args)
     mode = _hash_mode(args)
     rng = _make_rng(args)
     message = _message(args, params, "message", "raw_residue")
@@ -160,7 +187,7 @@ def cmd_open(args) -> int:
     unusable = ("message", "raw_residue") if scheme.recovers else ("expect_message", "expect_residue",
                                                                      "raw")
     _refuse(args, unusable + (() if scheme.designated else ("key",)), f"--scheme {args.scheme}")
-    params = _load(args.params, GroupParams, "--params")
+    params = _load_params(args)
     mode = _hash_mode(args)
     signer = _load(args.signer_key, PublicKey, "--signer-key")
     verifier = _load(args.key, SecretKey, "--key") if scheme.designated else None
@@ -188,7 +215,7 @@ def cmd_open(args) -> int:
 
 
 def cmd_designate(args) -> int:
-    params = _load(args.params, GroupParams, "--params")
+    params = _load_params(args)
     mode = _hash_mode(args)
     rng = _make_rng(args)
     signer_public = _load(args.signer_key, PublicKey, "--signer-key").y
@@ -206,7 +233,7 @@ def cmd_designate(args) -> int:
 
 def cmd_simulate(args) -> int:
     scheme = oraclemod.SCHEMES[args.scheme]
-    params = _load(args.params, GroupParams, "--params")
+    params = _load_params(args)
     mode = _hash_mode(args)
     rng = _make_rng(args)
     message = _message(args, params, "message", "raw_residue")
@@ -219,7 +246,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = _load(args.params, GroupParams, "--params")
+    params = _load_params(args)
     if params.q < 3:  # Z_q* would hold one secret, shared by both parties
         raise UsageError(f"the oracle needs q >= 3 for two distinct keys, not q = {params.q}")
     rng = _make_rng(args)
@@ -249,21 +276,35 @@ def cmd_oracle(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(sub, *, seed=True, hash_mode=True) -> None:
-    if seed:
-        sub.add_argument("--seed", type=int, default=None, help="deterministic randomness seed")
-    if hash_mode:
-        sub.add_argument("--hash", choices=["production", "stub"], default="production")
-        sub.add_argument(
-            "--allow-insecure",
-            action="store_true",
-            help="required to enable the stub hash",
-        )
+# Each flag that more than one subcommand takes; a file flag's type, _In or _Out, tells
+# _one_dash_each_way which stream "-" names.  _command gives every flag default=None,
+# store_true ones included, unless its settings say otherwise: _refuse and _message tell a
+# given flag from an absent one by `is not None`.
+_FLAGS = {
+    "--scheme": {"required": True},
+    "--params": {"required": True, "type": _In},
+    "--key": {"type": _In},
+    "--signer-key": {"type": _In, "help": "signer public key file"},
+    "--verifier-key": {"type": _In, "help": "designated verifier public key file"},
+    "--message": {"type": _In, "help": "message payload file ('-' for stdin)"},
+    "--raw-residue": {"type": int, "help": "message as a bare residue"},
+    "--in": {"dest": "in_path", "required": True, "type": _In},
+    "--out": {"required": True, "type": _Out},
+    "--raw": {"action": "store_true"},
+    "--seed": {"type": int, "help": "deterministic randomness seed"},
+    "--hash": {"choices": ["production", "stub"], "default": "production"},
+    "--allow-insecure": {"action": "store_true", "help": "required to enable the stub hash"},
+}
 
 
-def _add_message_flags(sub) -> None:
-    sub.add_argument("--message", help="message payload file ('-' for stdin)")
-    sub.add_argument("--raw-residue", type=int, default=None, help="message as a bare residue")
+def _command(commands, name: str, handler, summary: str, *flags, **defaults) -> None:
+    """Add subcommand name with its flags in help order.  A flag is a name from _FLAGS, or a
+    (name, settings) pair whose settings add to or override the shared ones."""
+    sub = commands.add_parser(name, help=summary)
+    for flag in flags:
+        flag, settings = (flag, {}) if isinstance(flag, str) else flag
+        sub.add_argument(flag, **{"default": None, **_FLAGS.get(flag, {}), **settings})
+    sub.set_defaults(handler=handler, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,98 +314,45 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 accept/success, 1 verification reject, 2 usage error, 3 malformed input",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
     params = commands.add_parser("params", help="generate or validate group parameters")
     params_sub = params.add_subparsers(dest="params_command", required=True)
-
-    gen = params_sub.add_parser("gen", help="generate a fresh group (or emit a preset)")
-    gen.add_argument("--q-bits", type=int, default=None, help="subgroup order bits (default 256)")
-    gen.add_argument("--p-bits", type=int, default=None, help="modulus bits (default 2048)")
-    gen.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    gen.add_argument("--out", required=True)
-    _add_common(gen, hash_mode=False)
-    gen.set_defaults(handler=cmd_params_gen)
-
-    check = params_sub.add_parser("check", help="validate a params file")
-    check.add_argument("--in", dest="in_path", required=True)
-    check.set_defaults(handler=cmd_params_check)
-
-    kg = commands.add_parser("keygen", help="generate a key pair")
-    kg.add_argument("--params", required=True)
-    kg.add_argument("--role", default="", help="free-form label, e.g. signer or verifier")
-    kg.add_argument("--out-secret", required=True)
-    kg.add_argument("--out-public", required=True)
-    _add_common(kg, hash_mode=False)
-    kg.set_defaults(handler=cmd_keygen)
-
-    sign = commands.add_parser("sign", help="sign a message")
-    sign.add_argument("--scheme", choices=["saeednia", "leechang", "pv"], required=True)
-    sign.add_argument("--params", required=True)
-    sign.add_argument("--key", help="signer secret key file")
-    sign.add_argument("--verifier-key", help="designated verifier public key file")
-    _add_message_flags(sign)
-    sign.add_argument("--out", required=True)
-    _add_common(sign)
-    sign.set_defaults(handler=cmd_sign)
-
-    verify = commands.add_parser("verify", help="verify a signature")
-    verify.add_argument("--scheme", choices=["saeednia", "pv"], required=True)
-    verify.add_argument("--params", required=True)
-    verify.add_argument("--key", help="verifier secret key file (saeednia)")
-    verify.add_argument("--signer-key", help="signer public key file")
-    _add_message_flags(verify)
-    verify.add_argument("--in", dest="in_path", required=True)
-    verify.add_argument("--expect-message", help="payload file the recovered message must equal (pv)")
-    verify.add_argument("--expect-residue", type=int, default=None)
-    verify.add_argument("--raw", action="store_true", default=None, help="print the residue undecoded")
-    _add_common(verify, seed=False)
-    verify.set_defaults(handler=cmd_open)
-
-    recover = commands.add_parser("recover", help="recover the message from a signature")
-    recover.add_argument("--scheme", choices=["leechang", "pv"], required=True)
-    recover.add_argument("--params", required=True)
-    recover.add_argument("--key", help="verifier secret key file (leechang)")
-    recover.add_argument("--signer-key", help="signer public key file")
-    recover.add_argument("--in", dest="in_path", required=True)
-    recover.add_argument("--raw", action="store_true", default=None)
-    _add_common(recover, seed=False)
-    recover.set_defaults(handler=cmd_open)
-
-    designate = commands.add_parser("designate", help="turn a PV signature into a DV signature")
-    designate.add_argument("--params", required=True)
-    designate.add_argument("--signer-key", help="signer public key file")
-    designate.add_argument("--verifier-key", help="designated verifier public key file")
-    designate.add_argument("--in", dest="in_path", required=True)
-    designate.add_argument("--out", required=True)
-    _add_common(designate)
-    designate.set_defaults(handler=cmd_designate)
-
-    dverify = commands.add_parser("dverify", help="verify a DV signature and recover the message")
-    dverify.add_argument("--params", required=True)
-    dverify.add_argument("--key", help="verifier secret key file")
-    dverify.add_argument("--signer-key", help="signer public key file")
-    dverify.add_argument("--in", dest="in_path", required=True)
-    dverify.add_argument("--raw", action="store_true", default=None)
-    _add_common(dverify, seed=False)
-    dverify.set_defaults(handler=cmd_open, scheme=oraclemod.SCHEME_UDVS)
-
-    simulate = commands.add_parser("simulate", help="produce a verifier-side transcript")
-    simulate.add_argument("--scheme", choices=oraclemod.SIMULATABLE_SCHEMES, required=True)
-    simulate.add_argument("--params", required=True)
-    simulate.add_argument("--key", help="verifier secret key file")
-    simulate.add_argument("--signer-key", help="signer public key file")
-    _add_message_flags(simulate)
-    simulate.add_argument("--out", required=True)
-    _add_common(simulate)
-    simulate.set_defaults(handler=cmd_simulate)
-
-    oracle = commands.add_parser("oracle", help="exhaustive real-vs-simulated distribution check")
-    oracle.add_argument("--scheme", choices=oraclemod.SIMULATABLE_SCHEMES, required=True)
-    oracle.add_argument("--params", required=True)
-    oracle.add_argument("--raw-residue", type=int, default=7)
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.set_defaults(handler=cmd_oracle)
-
+    _command(params_sub, "gen", cmd_params_gen, "generate a fresh group (or emit a preset)",
+             ("--q-bits", {"type": int, "help": "subgroup order bits (default 256)"}),
+             ("--p-bits", {"type": int, "help": "modulus bits (default 2048)"}),
+             ("--preset", {"choices": sorted(PRESETS)}), "--out", "--seed")
+    _command(params_sub, "check", cmd_params_check, "validate a params file", "--in")
+    _command(commands, "keygen", cmd_keygen, "generate a key pair", "--params",
+             ("--role", {"default": "", "help": "free-form label, e.g. signer or verifier"}),
+             ("--out-secret", _FLAGS["--out"]), ("--out-public", _FLAGS["--out"]), "--seed")
+    _command(commands, "sign", cmd_sign, "sign a message",
+             ("--scheme", {"choices": ["saeednia", "leechang", "pv"]}), "--params",
+             ("--key", {"help": "signer secret key file"}), "--verifier-key", "--message",
+             "--raw-residue", "--out", "--seed", "--hash", "--allow-insecure")
+    _command(commands, "verify", cmd_open, "verify a signature",
+             ("--scheme", {"choices": ["saeednia", "pv"]}), "--params",
+             ("--key", {"help": "verifier secret key file (saeednia)"}), "--signer-key", "--message",
+             "--raw-residue", "--in",
+             ("--expect-message", {"type": _In,
+                                   "help": "payload file the recovered message must equal (pv)"}),
+             ("--expect-residue", {"type": int}), ("--raw", {"help": "print the residue undecoded"}),
+             "--hash", "--allow-insecure")
+    _command(commands, "recover", cmd_open, "recover the message from a signature",
+             ("--scheme", {"choices": ["leechang", "pv"]}), "--params",
+             ("--key", {"help": "verifier secret key file (leechang)"}), "--signer-key", "--in",
+             "--raw", "--hash", "--allow-insecure")
+    _command(commands, "designate", cmd_designate, "turn a PV signature into a DV signature",
+             "--params", "--signer-key", "--verifier-key", "--in", "--out", "--seed", "--hash",
+             "--allow-insecure")
+    _command(commands, "dverify", cmd_open, "verify a DV signature and recover the message",
+             "--params", ("--key", {"help": "verifier secret key file"}), "--signer-key", "--in",
+             "--raw", "--hash", "--allow-insecure", scheme=oraclemod.SCHEME_UDVS)
+    _command(commands, "simulate", cmd_simulate, "produce a verifier-side transcript",
+             ("--scheme", {"choices": oraclemod.SIMULATABLE_SCHEMES}), "--params",
+             ("--key", {"help": "verifier secret key file"}), "--signer-key", "--message",
+             "--raw-residue", "--out", "--seed", "--hash", "--allow-insecure")
+    _command(commands, "oracle", cmd_oracle, "exhaustive real-vs-simulated distribution check",
+             ("--scheme", {"choices": oraclemod.SIMULATABLE_SCHEMES}), "--params",
+             ("--raw-residue", {"default": 7, "help": None}), ("--seed", {"default": 0, "help": None}))
     return parser
 
 
@@ -375,6 +363,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        _one_dash_each_way(args)
         return args.handler(args)
     except (UsageError, GroupTooLarge, DegenerateHash, GenerationTimeout, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from .errors import GenerationTimeout
 from .modmath import mod_exp, sample_uniform
 
 _TRIAL_LIMIT = 4096
+_MR_ROUNDS = 64
 
 
 def _sieve(limit: int) -> list[int]:
@@ -63,7 +64,7 @@ TOY23 = GroupParams(p=23, q=11, g=4)
 PRESETS = {"toy23": TOY23}
 
 
-def is_probable_prime(n: int, rounds: int = 64, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Trial division below _TRIAL_LIMIT**2 (exact), Miller-Rabin above.
 
     Without an explicit rng the witness stream is derived from n, so
@@ -85,7 +86,7 @@ def is_probable_prime(n: int, rounds: int = 64, rng: random.Random | None = None
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         a = 2 + sample_uniform(n - 3, False, rng)  # uniform witness in [2, n-2]
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -157,6 +158,17 @@ def _find_generator(p: int, q: int, rng: random.Random) -> int:
             return g
 
 
+def _shape_failures(params: GroupParams) -> list[str]:
+    """The conditions on (p, q, g) that need no exponentiation and no primality test."""
+    p, q, g = params.p, params.q, params.g
+    failures = []
+    if p < 2 or q < 2 or (p - 1) % q != 0:  # q >= 2 before the division
+        failures.append("q does not divide p - 1")
+    if not 1 < g < p:
+        failures.append(f"g = {g} is outside (1, p)")
+    return failures
+
+
 def validate_params(params: GroupParams) -> ValidationReport:
     """Check every structural condition on (p, q, g); failures are report entries."""
     report = ValidationReport()
@@ -165,10 +177,7 @@ def validate_params(params: GroupParams) -> ValidationReport:
         report.failures.append(f"p = {p} is not prime")
     if not is_probable_prime(q):
         report.failures.append(f"q = {q} is not prime")
-    if p < 2 or q < 2 or (p - 1) % q != 0:
-        report.failures.append("q does not divide p - 1")
-    if not 1 < g < p:
-        report.failures.append(f"g = {g} is outside (1, p)")
+    report.failures += _shape_failures(params)
     if p < 2 or q < 1 or mod_exp(g % p, q, p) != 1:
         report.failures.append("g**q mod p != 1 (g is not in the order-q subgroup)")
     if g == 1:

@@ -407,6 +407,59 @@ def test_malformed_inputs_exit_three(toyfiles, tmp_path):
                 "--out", str(tmp_path / "x")]) == 3
 
 
+BROKEN_SHAPES = {"zero": GroupParams(p=0, q=0, g=0), "q-not-dividing": GroupParams(p=24, q=11, g=4),
+                 "identity-generator": GroupParams(p=23, q=11, g=1)}
+
+
+@pytest.mark.parametrize("shape", sorted(BROKEN_SHAPES))
+def test_every_command_that_loads_params_refuses_a_broken_shape(toyfiles, tmp_path, capsys, shape):
+    """q >= 2, q | p - 1 and 1 < g < p need no exponentiation, so every --params reader checks them."""
+    params = tmp_path / "broken.params"
+    params.write_text(wirefmt.armor(BROKEN_SHAPES[shape]))
+    pv_sig, out = tmp_path / "m.pvsig", tmp_path / "out"
+    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"], "--key", toyfiles["signer_sec"],
+                "--raw-residue", "7", "--seed", "3", *STUBBED, "--out", str(pv_sig)]) == 0
+    signer, verifier = ["--signer-key", toyfiles["signer_pub"]], ["--key", toyfiles["verifier_sec"]]
+    commands = [
+        ["keygen", "--seed", "1", "--out-secret", str(out), "--out-public", str(out)],
+        ["sign", "--scheme", "pv", "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "1",
+         *STUBBED, "--out", str(out)],
+        ["verify", "--scheme", "pv", *signer, "--in", str(pv_sig), *STUBBED],
+        ["recover", "--scheme", "pv", *signer, "--in", str(pv_sig), *STUBBED],
+        ["designate", *signer, "--verifier-key", toyfiles["verifier_pub"], "--in", str(pv_sig),
+         "--seed", "1", *STUBBED, "--out", str(out)],
+        ["dverify", *verifier, *signer, "--in", str(pv_sig), *STUBBED],
+        ["simulate", "--scheme", "udvs", *verifier, *signer, "--raw-residue", "7", "--seed", "1",
+         *STUBBED, "--out", str(out)],
+        ["oracle", "--scheme", "udvs"],
+    ]
+    for argv in commands:
+        assert run([*argv, "--params", str(params)]) == 3, argv
+        assert "error: --params: " in capsys.readouterr().err
+        assert not out.exists()
+    # params check still reports the group instead of refusing it
+    assert run(["params", "check", "--in", str(params)]) == 1
+
+
+def test_two_dash_files_in_one_direction_are_usage_errors(toyfiles):
+    """stdin and stdout are one stream each, so at most one file argument can name each."""
+    params = Path(toyfiles["params"]).read_bytes()
+    two_outputs = ["keygen", "--params", toyfiles["params"], "--seed", "1",
+                   "--out-secret", "-", "--out-public", "-"]
+    two_inputs = [
+        ["verify", "--scheme", "pv", "--params", toyfiles["params"], "--signer-key", "-",
+         "--in", toyfiles["params"], "--expect-message", "-", *STUBBED],
+        ["verify", "--scheme", "pv", "--params", "-", "--signer-key", "-",
+         "--in", toyfiles["params"], *STUBBED],
+    ]
+    for argv in [two_outputs, *two_inputs]:
+        done = subprocess.run([sys.executable, "-m", "dvsig", *argv], input=params,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stdout == b""
+        assert b"only one file argument can be '-'" in done.stderr
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["sign", "--help"]) == 0

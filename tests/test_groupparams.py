@@ -54,6 +54,11 @@ def test_validate_rejects_composite_modulus():
     assert any("not prime" in failure for failure in report.failures)
 
 
+def test_validate_reports_a_composite_subgroup_order():
+    # 22 divides 23 - 1 and 4 has order 11, which divides 22: only primality fails
+    assert validate_params(GroupParams(p=23, q=22, g=4)).failures == ["q = 22 is not prime"]
+
+
 def test_validate_rejects_wrong_order_element():
     # 5 is not in the order-11 subgroup of Z_23*
     report = validate_params(GroupParams(p=23, q=11, g=5))
