@@ -6,7 +6,11 @@ around the table crossover in modmath) it prints the builtin pow time,
 the comb-table evaluation time, the table build time and bytes, and
 the number of uses after which a build has paid for itself.  Each time
 is the median of REPEAT rounds of POWERS powers of g with random
-exponents below q.  Run from the repository root:
+exponents below q.  A last line per group times what a hot block in
+modmath does with a base it powers twice, as sdvs_mr._recover does with
+t: build the per-call comb, then raise the base to q and to a random
+exponent, for each of the first PER_CALL_PAIRS exponents; against two
+builtin pows.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/modmath_layer.py
 """
@@ -17,13 +21,14 @@ import sys
 from time import perf_counter
 
 from dvsig.groupparams import generate_params
-from dvsig.modmath import _Comb
+from dvsig.modmath import _HOT_BLOCKS, _HOT_ROWS, _Comb
 
 # (q bits, p bits)
 SIZES = [(256, 2048), (64, 256), (48, 160), (16, 64)]
 SEED = 0x5EED2026
 POWERS = 50
 REPEAT = 7
+PER_CALL_PAIRS = 10
 
 
 def median_ms(fn, args) -> float:
@@ -61,6 +66,18 @@ def measure(q_bits: int, p_bits: int):
     print(f"table bytes: {size} ({len(table.entries)} residues, exponents up to {table.width} bits)")
     repaid = f"{build / (builtin - comb):.1f} uses" if comb < builtin else "never"
     print(f"build repaid after: {repaid}")
+
+    def per_call(e):
+        marked = _Comb(g, p, q.bit_length(), _HOT_ROWS, _HOT_BLOCKS)
+        return marked.power(q), marked.power(e)
+
+    pairs = exps[:PER_CALL_PAIRS]
+    if any(per_call(e) != (pow(g, q, p), pow(g, e, p)) for e in pairs):
+        sys.exit("per-call comb power differs from the builtin pow")
+    twice = median_ms(per_call, pairs)
+    builtin_twice = median_ms(lambda e: (pow(g, q, p), pow(g, e, p)), pairs)
+    print(f"per-call comb, build + 2 powers: {twice:.4f} ms; 2 builtin pows: {builtin_twice:.4f} ms"
+          f" ({builtin_twice / twice:.2f}x)")
 
 
 def main():

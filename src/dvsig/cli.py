@@ -297,6 +297,11 @@ _FLAGS = {
 }
 
 
+def _schemes(offered) -> list[str]:
+    """The --scheme choices of a command: the SCHEMES names whose entry it is offered, in order."""
+    return [name for name, entry in oraclemod.SCHEMES.items() if offered(entry)]
+
+
 def _command(commands, name: str, handler, summary: str, *flags, **defaults) -> None:
     """Add subcommand name with its flags in help order.  A flag is a name from _FLAGS, or a
     (name, settings) pair whose settings add to or override the shared ones."""
@@ -325,11 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
              ("--role", {"default": "", "help": "free-form label, e.g. signer or verifier"}),
              ("--out-secret", _FLAGS["--out"]), ("--out-public", _FLAGS["--out"]), "--seed")
     _command(commands, "sign", cmd_sign, "sign a message",
-             ("--scheme", {"choices": ["saeednia", "leechang", "pv"]}), "--params",
+             ("--scheme", {"choices": _schemes(lambda s: not s.designated_later)}), "--params",
              ("--key", {"help": "signer secret key file"}), "--verifier-key", "--message",
              "--raw-residue", "--out", "--seed", "--hash", "--allow-insecure")
     _command(commands, "verify", cmd_open, "verify a signature",
-             ("--scheme", {"choices": ["saeednia", "pv"]}), "--params",
+             # A given message, or a recovery from public values alone.
+             ("--scheme", {"choices": _schemes(lambda s: not s.recovers or not s.designated)}),
+             "--params",
              ("--key", {"help": "verifier secret key file (saeednia)"}), "--signer-key", "--message",
              "--raw-residue", "--in",
              ("--expect-message", {"type": _In,
@@ -337,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
              ("--expect-residue", {"type": int}), ("--raw", {"help": "print the residue undecoded"}),
              "--hash", "--allow-insecure")
     _command(commands, "recover", cmd_open, "recover the message from a signature",
-             ("--scheme", {"choices": ["leechang", "pv"]}), "--params",
+             ("--scheme", {"choices": _schemes(lambda s: s.recovers and not s.designated_later)}),
+             "--params",
              ("--key", {"help": "verifier secret key file (leechang)"}), "--signer-key", "--in",
              "--raw", "--hash", "--allow-insecure")
     _command(commands, "designate", cmd_designate, "turn a PV signature into a DV signature",

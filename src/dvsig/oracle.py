@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import Callable
 
 from .errors import DegenerateHash, GroupTooLarge, InvalidSignature, SchemeMismatch
@@ -69,6 +70,9 @@ class Scheme:
     forgery: tuple[str, ...]  # the range of each signature field, in field order
     sim_space: tuple[str, ...] = ()
     simulate: Callable | None = None  # (params, a, b, m, randomness, mode) -> signature
+    # Signed as PV and designated afterwards by the signature's holder: the CLI makes it with
+    # designate and opens it with dverify, not with sign and recover.
+    designated_later: bool = False
 
 
 def _sds_open(params, a, b, m, sig, mode):
@@ -119,6 +123,7 @@ SCHEMES = {
         forgery=(SUBGROUP, UNIT, ZQ, ZQ, UNIT), sim_space=(ZQ_STAR, ZQ, ZQ),
         simulate=lambda params, a, b, m, rand, mode: dv_simulate(
             params, a.y, b.x, m, SimulatorRandomness(*rand), mode),
+        designated_later=True,
     ),
 }
 
@@ -137,7 +142,16 @@ class SignatureMultiset:
         return sum(self.counts.values())
 
     def add(self, sig) -> None:
-        self.counts[astuple(sig)] += 1
+        self.counts[_field_values(type(sig))(sig)] += 1
+
+
+@lru_cache(maxsize=None)
+def _field_values(sig_type: type):
+    """sig -> the tuple of its field values in field order, without astuple's deep copies.
+
+    attrgetter of several names returns a tuple; every signature type has several fields.
+    """
+    return attrgetter(*(f.name for f in fields(sig_type)))
 
 
 @dataclass

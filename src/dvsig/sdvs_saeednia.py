@@ -85,9 +85,13 @@ def sds_verify(
     sig: SaeedniaSignature,
     mode: HashMode = HashMode.PRODUCTION,
 ) -> bool:
-    """Check r = H(m, (g**s * y_A**r)**(t * x_B) mod p); out-of-range fields fail."""
+    """Check r = H(m, (g**s * y_A**r)**(t * x_B) mod p); out-of-range fields fail.
+
+    So does a signer key outside [1, p), which would otherwise verify as
+    its residue mod p does: one key, one encoding.
+    """
     p, q = params.p, params.q
-    if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q):
+    if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q and 1 <= signer_public < p):
         return False
     base = mod_exp(params.g, sig.s, p) * mod_exp(signer_public, sig.r, p) % p
     c = pow_in_subgroup(base, sig.t * verifier_secret, p, q)

@@ -387,6 +387,22 @@ def test_each_subcommand_has_exactly_its_options():
     assert _options(build_parser()) == OPTIONS
 
 
+def test_scheme_choices_in_help_order():
+    """The --scheme choices that oracle.SCHEMES yields, as every --help page lists them."""
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    choices = {name: list(next(action for action in sub._actions if action.dest == "scheme").choices)
+               for name, sub in subcommands.items()
+               if any(action.dest == "scheme" for action in sub._actions)}
+    assert choices == {
+        "sign": ["saeednia", "leechang", "pv"],
+        "verify": ["saeednia", "pv"],
+        "recover": ["leechang", "pv"],
+        "simulate": ["saeednia", "leechang", "udvs"],
+        "oracle": ["saeednia", "leechang", "udvs"],
+    }
+
+
 def test_malformed_inputs_exit_three(toyfiles, tmp_path):
     junk = tmp_path / "junk"
     junk.write_bytes(b"not a blob at all")

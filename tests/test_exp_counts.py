@@ -13,13 +13,15 @@ import pytest
 
 from dvsig import modmath, wirefmt
 from dvsig.cli import run
+from dvsig.errors import InvalidSignature
+from dvsig.groupparams import generate_params
 from dvsig.keys import keygen
 from dvsig.modmath import sample_uniform
 from dvsig.msghash import encode_message
 from dvsig.pv_scheme import psg, psv
 from dvsig.sdvs_mr import mr_recover_verify, mr_sign, mr_simulate, random_nonces
 from dvsig.sdvs_saeednia import SaeedniaNonces, sds_sign, sds_simulate, sds_verify
-from dvsig.udvs import SimulatorRandomness, dsg, dsv_recover, dv_simulate
+from dvsig.udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_simulate
 
 
 @pytest.fixture()
@@ -47,8 +49,24 @@ def exp_counter(monkeypatch):
     return count
 
 
+@pytest.fixture(scope="module")
+def wide():
+    """A group whose modulus reaches modmath's tables and per-call combs (512 bits)."""
+    params = generate_params(64, 512, random.Random(3))
+    assert params.p >= modmath._HOT_MIN_MODULUS
+    return params
+
+
 def test_exponentiations_per_operation(midsize, exp_counter):
-    params = midsize
+    pinned_counts(midsize, exp_counter)
+
+
+def test_exponentiations_per_operation_with_per_call_combs(wide, exp_counter):
+    """The same counts where the openers power t and e from per-call combs."""
+    pinned_counts(wide, exp_counter)
+
+
+def pinned_counts(params, exp_counter):
     rng = random.Random(7)
     signer = keygen(params, rng)
     verifier = keygen(params, rng)
@@ -101,3 +119,31 @@ def test_cli_pv_verify_with_expectation_opens_once(midsize, exp_counter, tmp_pat
         ["verify", "--scheme", "pv", *group, "--signer-key", str(tmp_path / "signer.pub"),
          "--in", str(tmp_path / "m.pvsig"), "--expect-message", str(tmp_path / "m.bin")]))
     assert code == 0 and n == 3
+
+
+def test_the_verifier_secret_reaches_e_only_after_its_subgroup_test(wide, monkeypatch):
+    """dsv_recover powers e by x_B only after e**q = 1 has passed, and never otherwise."""
+    p, q = wide.p, wide.q
+    rng = random.Random(11)
+    signer, verifier = keygen(wide, rng), keygen(wide, rng)
+    m = encode_message(b"spy", wide)
+    dv = dsg(wide, signer.y, verifier.y, psg(wide, signer.x, m, random_nonces(wide, rng)),
+             sample_uniform(q, False, rng))
+    h = 2
+    while pow(h, q, p) == 1:
+        h += 1
+    outside = DVSignature(dv.t, dv.w, dv.r, dv.s, dv.e * h % p)
+    powers, power = [], modmath._power
+
+    def spy(base, exp, modulus):
+        powers.append((base, exp))
+        return power(base, exp, modulus)
+
+    monkeypatch.setattr(modmath, "_power", spy)
+    assert dsv_recover(wide, signer.y, verifier.x, dv).value == m.value
+    assert powers.index((dv.e, verifier.x)) > powers.index((dv.e, q))
+    powers.clear()
+    with pytest.raises(InvalidSignature, match="e is not an order-q subgroup element"):
+        dsv_recover(wide, signer.y, verifier.x, outside)
+    assert (outside.e, q) in powers
+    assert not any(base == outside.e and exp != q for base, exp in powers)

@@ -324,3 +324,128 @@ def test_threads_share_the_cache_safely(tables):
     assert sorted(finished) == list(range(4)) and not wrong
     assert tables and len(tables) <= modmath._MAX_TABLES
     assert len(modmath._uses) <= modmath._MAX_COUNTED
+
+
+# ----------------------------------------------------------- marked bases
+
+# Inside a hot block a marked base is powered from a per-call comb, which
+# must equal the builtin pow bit for bit and must not outlive the block.
+
+
+def marks():
+    """The calling thread's marks: {(base, modulus): comb or None}, None outside any block."""
+    return getattr(modmath._local, "marks", None)
+
+
+def marked_comb(base, params):
+    """The per-call comb of a marked base, built by its first power, with exponent q."""
+    p, q = params.p, params.q
+    assert mod_exp(base, q, p) == pow(base, q, p)
+    comb = marks()[(base, p)]
+    assert isinstance(comb, modmath._Comb) and (comb.rows, comb.blocks) == (modmath._HOT_ROWS, 1)
+    return comb
+
+
+MARKED_BASES = {
+    "zero": lambda params: 0,
+    "one": lambda params: 1,
+    "p-1": lambda params: params.p - 1,
+    "p": lambda params: params.p,
+    "p+g": lambda params: params.p + params.g,
+    "outside": outside_subgroup,
+    **{f"random-{seed}": lambda params, seed=seed: random.Random(seed).randrange(2, params.p)
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", MARKED_BASES)
+def test_marked_power_equals_builtin(big, name, tables):
+    base = MARKED_BASES[name](big)
+    p, q = big.p, big.q
+    with modmath.hot(p, base):
+        comb = marked_comb(base, big)
+        assert comb.width == q.bit_length()
+        for exp in (0, 1, q - 1, (1 << comb.width) - 1, random.Random(name).randrange(q)):
+            assert mod_exp(base, exp, p) == pow(base, exp, p)
+            assert pow_in_subgroup(base, -exp, p, q) == pow(base, -exp % q, p)
+        wider = 1 << comb.width
+        assert mod_exp(base, wider, p) == pow(base, wider, p)
+        assert mod_exp(base, wider + q, p) == pow(base, wider + q, p)
+        assert marks()[(base, p)] is comb
+    # 13 uses: below the table threshold, so the comb served every power that fit it.
+    assert not tables
+
+
+def test_a_table_takes_precedence_over_a_mark(big, tables):
+    p, q, g = big.p, big.q, big.g
+    table = tabled(g, big)
+    with modmath.hot(p, g):
+        assert mod_exp(g, q - 2, p) == pow(g, q - 2, p)
+        assert marks()[(g, p)] is None
+    assert tables[(g, p)] is table
+
+
+@pytest.mark.parametrize("group", ["toy", "midsize", "256 bits"])
+def test_small_moduli_mark_nothing(request, group, tables):
+    """Below _TABLE_MIN_MODULUS, and from there up to _HOT_MIN_MODULUS, where a table may
+    be built but a per-call comb would lose to the builtin pow."""
+    if group == "256 bits":
+        params = generate_params(64, 256, random.Random(3))
+        assert modmath._TABLE_MIN_MODULUS <= params.p < modmath._HOT_MIN_MODULUS
+    else:
+        params = request.getfixturevalue(group)
+    p, q, g = params.p, params.q, params.g
+    with modmath.hot(p, g, p - 1):
+        for base in (g, p - 1):
+            for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
+                assert pow_in_subgroup(base, k, p, q) == pow(base, k % q, p)
+                assert mod_exp(base, abs(k), p) == pow(base, abs(k), p)
+        assert marks() == {}
+    assert marks() is None and not tables
+
+
+def test_marks_and_combs_end_with_their_block(big, tables):
+    p, q, g = big.p, big.q, big.g
+    h = pow(g, 5, p)
+    assert marks() is None
+    with modmath.hot(p, g):
+        outer = marked_comb(g, big)
+        with modmath.hot(p, h):
+            assert marks()[(g, p)] is outer
+            marked_comb(h, big)
+        assert marks() == {(g, p): outer}
+    assert marks() is None
+    with pytest.raises(ZeroDivisionError):
+        with modmath.hot(p, h):
+            marked_comb(h, big)
+            raise ZeroDivisionError
+    assert marks() is None
+    assert mod_exp(h, q - 1, p) == pow(h, q - 1, p)
+    assert not tables
+
+
+def test_threads_never_see_each_others_marks(big, tables):
+    p, q, g = big.p, big.q, big.g
+    bases = [pow(g, i, p) for i in (2, 3)]
+    inside = threading.Barrier(2, timeout=60)
+    seen, finished = {}, []
+
+    def work(base):
+        with modmath.hot(p, base):
+            inside.wait()
+            marked_comb(base, big)
+            inside.wait()
+            seen[base] = set(marks())
+            assert mod_exp(base, q - 1, p) == pow(base, q - 1, p)
+        seen[base, "after"] = marks()
+        finished.append(base)
+
+    threads = [threading.Thread(target=work, args=(base,)) for base in bases]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == sorted(bases)
+    for base in bases:
+        assert seen[base] == {(base, p)} and seen[base, "after"] is None

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
@@ -105,6 +106,16 @@ def test_diff_report_counts_multiplicity():
     report = check_indistinguishable(a, b)
     assert not report.equal
     assert report.lines == ["only in first multiset: (1, 2, 3, 4) x2"]
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_SAEEDNIA, SCHEME_LEECHANG, SCHEME_PV, SCHEME_UDVS])
+def test_multiset_keys_are_the_field_tuples(toy, scheme):
+    """Each signature is counted under the tuple of its fields in field order."""
+    sigs = [random_forgery(toy, scheme, random.Random(seed)) for seed in range(5)]
+    multiset = SignatureMultiset(scheme)
+    for sig in sigs:
+        multiset.add(sig)
+    assert multiset.counts == Counter(astuple(sig) for sig in sigs)
 
 
 def test_unknown_scheme_rejected(toy, toy_signer, toy_verifier, m7):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import DegenerateHash, InvalidNonce, InvalidRandomness
 from dvsig.groupparams import GroupParams
+from dvsig.keys import keygen
 from dvsig.msghash import HashMode, encode_message, raw_message
 from dvsig.sdvs_saeednia import (
     SaeedniaNonces,
@@ -64,6 +65,20 @@ def test_verify_rejects_out_of_range_fields(toy, toy_signer, toy_verifier):
     assert not sds_verify(toy, toy_signer.y, toy_verifier.x, m, SaeedniaSignature(2, 2, 0), STUB)
     assert not sds_verify(toy, toy_signer.y, toy_verifier.x, m, SaeedniaSignature(11, 2, 3), STUB)
     assert not sds_verify(toy, toy_signer.y, toy_verifier.x, m, SaeedniaSignature(2, 11, 3), STUB)
+
+
+@pytest.mark.parametrize("group", ["toy", "big"])
+def test_verify_rejects_a_signer_key_outside_one_to_p(request, group):
+    """y_A + p would verify exactly as y_A does; 0 and p are no keys.  Each is rejected
+    next to the key that accepts."""
+    params = request.getfixturevalue(group)
+    rng = random.Random(9)
+    signer, verifier = keygen(params, rng), keygen(params, rng)
+    m = raw_message(7, params)
+    sig = sds_sign_random(params, signer.x, verifier.y, m, rng, STUB)
+    assert sds_verify(params, signer.y, verifier.x, m, sig, STUB)
+    for key in (0, params.p, signer.y + params.p):
+        assert not sds_verify(params, key, verifier.x, m, sig, STUB), key
 
 
 def test_simulate_worked_vector(toy, toy_signer, toy_verifier):
