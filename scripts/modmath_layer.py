@@ -6,11 +6,11 @@ around the table crossover in modmath) it prints the builtin pow time,
 the comb-table evaluation time, the table build time and bytes, and
 the number of uses after which a build has paid for itself.  Each time
 is the median of REPEAT rounds of POWERS powers of g with random
-exponents below q.  A last line per group times what a hot block in
-modmath does with a base it powers twice, as sdvs_mr._recover does with
-t: build the per-call comb, then raise the base to q and to a random
-exponent, for each of the first PER_CALL_PAIRS exponents; against two
-builtin pows.  Run from the repository root:
+exponents below q.  A last line per group times what a
+modmath.PerCallBase does when it is powered twice, as sdvs_mr._recover
+powers t: build the per-call comb, then raise the base to q and to a
+random exponent, for each of the first PER_CALL_PAIRS exponents;
+against two builtin pows.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/modmath_layer.py
 """
@@ -21,7 +21,7 @@ import sys
 from time import perf_counter
 
 from dvsig.groupparams import generate_params
-from dvsig.modmath import _HOT_BLOCKS, _HOT_ROWS, _Comb
+from dvsig.modmath import FixedBase, PerCallBase, _Comb
 
 # (q bits, p bits)
 SIZES = [(256, 2048), (64, 256), (48, 160), (16, 64)]
@@ -50,7 +50,7 @@ def measure(q_bits: int, p_bits: int):
     builds = []
     for _ in range(REPEAT):
         t0 = perf_counter()
-        table = _Comb(g, p, q.bit_length())
+        table = _Comb(g, p, q.bit_length(), FixedBase.rows, FixedBase.blocks)
         builds.append(perf_counter() - t0)
     if any(table.power(e) != pow(g, e, p) for e in exps):
         sys.exit("table power differs from the builtin pow")
@@ -68,7 +68,7 @@ def measure(q_bits: int, p_bits: int):
     print(f"build repaid after: {repaid}")
 
     def per_call(e):
-        marked = _Comb(g, p, q.bit_length(), _HOT_ROWS, _HOT_BLOCKS)
+        marked = _Comb(g, p, q.bit_length(), PerCallBase.rows, PerCallBase.blocks)
         return marked.power(q), marked.power(e)
 
     pairs = exps[:PER_CALL_PAIRS]

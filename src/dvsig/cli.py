@@ -158,7 +158,7 @@ def cmd_params_check(args) -> int:
 
 def cmd_keygen(args) -> int:
     params = _load_params(args)
-    pair = keygen(params, _make_rng(args), role=args.role)
+    pair = keygen(params, _make_rng(args))
     _write_value(args.out_secret, pair.secret())
     _write_value(args.out_public, pair.public())
     return EXIT_OK
@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
              ("--preset", {"choices": sorted(PRESETS)}), "--out", "--seed")
     _command(params_sub, "check", cmd_params_check, "validate a params file", "--in")
     _command(commands, "keygen", cmd_keygen, "generate a key pair", "--params",
-             ("--role", {"default": "", "help": "free-form label, e.g. signer or verifier"}),
              ("--out-secret", _FLAGS["--out"]), ("--out-public", _FLAGS["--out"]), "--seed")
     _command(commands, "sign", cmd_sign, "sign a message",
              ("--scheme", {"choices": _schemes(lambda s: not s.designated_later)}), "--params",

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationTimeout
-from .modmath import mod_exp, sample_uniform
+from .modmath import FixedBase, mod_exp, sample_uniform
 
 _TRIAL_LIMIT = 4096
 _MR_ROUNDS = 64
@@ -37,6 +37,10 @@ class GroupParams:
     p: int
     q: int
     g: int
+
+    def __post_init__(self):
+        # Every signature powers g, so it keeps a fixed-base table (modmath.FixedBase).
+        object.__setattr__(self, "g", FixedBase(self.g))
 
     def subgroup(self) -> list[int]:
         """All q powers of g, in exponent order.  Toy-scale groups only."""

@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 from .errors import OutOfRange
 from .groupparams import GroupParams
-from .modmath import mod_exp, sample_uniform
+from .modmath import FixedBase, mod_exp, sample_uniform
 
 
 @dataclass(frozen=True)
 class PublicKey:
     y: int
+
+    def __post_init__(self):
+        # A public key is powered in every signature it signs or verifies (modmath.FixedBase).
+        object.__setattr__(self, "y", FixedBase(self.y))
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,8 @@ class KeyPair:
     x: int
     y: int
     role: str = ""
+
+    __post_init__ = PublicKey.__post_init__
 
     def public(self) -> PublicKey:
         return PublicKey(self.y)

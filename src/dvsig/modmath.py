@@ -1,39 +1,37 @@
 """Arbitrary-precision modular arithmetic and exact uniform sampling.
 
-Residues are plain non-negative ints, already reduced modulo their
-context modulus; every function here returns values that keep that
+Residues are non-negative ints, already reduced modulo their context
+modulus; every function here returns plain ints that keep that
 invariant.  The randomness source is always passed explicitly.
 
-mod_exp and pow_in_subgroup share one private helper, _power, which
-keeps lazy fixed-base tables.  For a modulus of at least 256 bits it
-counts the uses of each (base, modulus) pair; at the _TABLE_AFTER-th
-use it builds a Lim-Lee comb table for that base (Lim & Lee, CRYPTO
-'94), sized for the widest exponent among those uses, and later powers
-of the base read the table: under a quarter of the time of the builtin
-pow at 2048 bits.  A base used fewer times, a smaller modulus, and a
-negative exponent or one wider than the table take the builtin pow, so
-one-shot processes and the toy groups never build a table.
+mod_exp and pow_in_subgroup share one private helper, _power.  A base
+that is a FixedBase, an int subclass, carries its own Lim-Lee comb
+(Lim & Lee, CRYPTO '94) and is powered from it; any other base, a
+modulus below 256 bits and a negative exponent take the builtin pow.
+The comb is built at the base's `after`-th power modulo a modulus of
+at least `min_modulus`, sized for the widest exponent among those
+powers, and is bound to the modulus of the power that built it: an
+exponent wider than the comb, or a power modulo another modulus, takes
+the builtin pow.  Either way the result is exactly pow(base, exp,
+modulus).  The comb lives and dies with the residue that owns it.
 
-A caller that powers a base more than once in one call marks it for
-the duration of a `with hot(modulus, base, ...)` block.  Inside the
-block, the base's first power builds a smaller per-call comb (_HOT_ROWS
-rows, one block) and its later powers read it; the comb is dropped at
-block exit.  sdvs_mr._recover marks t and the UDVS e, which it raises
-to q and then to s or x_B.  A table of the base still takes precedence
-and the use counter counts as before.  An exponent wider than the comb
-takes the builtin pow, and a modulus below _HOT_MIN_MODULUS (512 bits),
-where the comb would lose, marks nothing.  Either way the result is
-exactly pow(base, exp, modulus).
+There are two forms.  A FixedBase is long-lived: GroupParams.g,
+PublicKey.y and KeyPair.y mark themselves so, and at the 16th power a
+base builds a table (7 rows, 2 blocks) whose powers take under a
+quarter of the time of the builtin pow at 2048 bits.  A PerCallBase
+builds a smaller comb (4 rows, 1 block) at its first power modulo 512
+bits or more; sdvs_mr._recover marks t and the UDVS e so for one call,
+as it raises each to q and then to s or x_B.  Marking a value already
+of the form returns it unchanged.  A process that loads its group and
+keys once per invocation, as the CLI does, powers each of them a few
+times and builds no table.
 
-The use counter and the tables are module state, both bounded: at most
-_MAX_COUNTED counted pairs and _MAX_TABLES tables, each evicting the
-least recently used.  The bookkeeping runs under a lock; a build runs
-outside it, so two threads may build the same table at once, which is
-idempotent (both build the same entries).  Marks and per-call combs are
-thread-local, so no thread sees another's.  Which entries a comb power
-reads depends on the exponent's bits, so it is not constant-time;
-neither is the builtin pow, and constant-time execution is out of
-scope for this package.
+There is no module state: no cache, no lock, no thread-local.  Two
+threads that power one base may both build its comb, which is
+harmless: both combs hold the same entries, and each power reads the
+comb it got.  Which entries a comb power reads depends on the
+exponent's bits, so it is not constant-time; neither is the builtin
+pow, and constant-time execution is out of scope for this package.
 
 Randomness is drawn by sample_uniform, and a tuple of it by
 sample_space: a space names, in draw order, the range of each component,
@@ -45,8 +43,6 @@ sds_simulate_random and random_nonces all draw through sample_space.
 from __future__ import annotations
 
 import random
-import threading
-from contextlib import contextmanager
 from math import prod
 
 from .errors import DegenerateHash, NonInvertible
@@ -54,40 +50,8 @@ from .errors import DegenerateHash, NonInvertible
 # Ranges of randomness components: Z_q = [0, q), Z_q* = [1, q).
 ZQ, ZQ_STAR = "Z_q", "Z_q*"
 
-# Comb shape: an index combines _COMB_ROWS exponent bits, and the table
-# holds _COMB_BLOCKS blocks of 2**_COMB_ROWS entries.  At 2048/256 bits
-# a power costs 18 squarings and at most 38 multiplications (the builtin
-# pow: about 256 and 128), and a table holds 256 residues, 0.08 MB.
-# Eight rows are about 5% faster per power and take twice the memory.
-_COMB_ROWS = 7
-_COMB_BLOCKS = 2
-# A build costs about two builtin powers.  One process that signs,
-# designates and verifies a signature uses its t about ten times, and
-# that must not evict the tables of g and the keys.
-_TABLE_AFTER = 16
-# Crossover, measured with scripts/modmath_layer.py: a build is repaid
-# after about 2 table powers at 2048 bits, 8 at 256 bits and 20 at 160
-# bits; at 64 bits a table power is slower than the builtin pow.
+# Below this modulus no form builds a comb; _power tests it first.
 _TABLE_MIN_MODULUS = 1 << (256 - 1)
-_MAX_TABLES = 3
-_MAX_COUNTED = 64
-# Per-call comb of a base that a hot block marks.  At 2048/256 bits a
-# build is 192 squarings and a power 64 squarings and at most 64
-# multiplications.  A build and two powers take 0.7 of the time of two
-# builtin pows at 2048 bits, 0.9 at 512, 1.0 at 384 and 1.1 at 256 (timed
-# as in scripts/modmath_layer.py), so below 512 bits hot marks nothing.
-# A build and one power take about 1.1 of one builtin pow at 2048 bits.
-_HOT_ROWS = 4
-_HOT_BLOCKS = 1
-_HOT_MIN_MODULUS = 1 << (512 - 1)
-
-_lock = threading.Lock()
-# (base, modulus) -> [uses, widest exponent in bits], least recent first.
-_uses: dict[tuple[int, int], list[int]] = {}
-# (base, modulus) -> _Comb, least recent first.
-_tables: dict[tuple[int, int], _Comb] = {}
-# .marks: (base, modulus) -> _Comb, or None until its first power; absent outside hot blocks.
-_local = threading.local()
 
 
 class _Comb:
@@ -103,8 +67,7 @@ class _Comb:
 
     __slots__ = ("modulus", "width", "rows", "blocks", "cols", "span", "entries")
 
-    def __init__(self, base: int, modulus: int, width: int,
-                 rows: int = _COMB_ROWS, blocks: int = _COMB_BLOCKS):
+    def __init__(self, base: int, modulus: int, width: int, rows: int, blocks: int):
         step = rows * blocks
         self.modulus = modulus
         self.rows, self.blocks = rows, blocks
@@ -146,70 +109,75 @@ class _Comb:
         return acc
 
 
-@contextmanager
-def hot(modulus: int, *bases: int):
-    """Mark bases that the block powers more than once modulo modulus.
+class FixedBase(int):
+    """A residue that powers itself from its own Lim-Lee comb, once it has been powered enough.
 
-    A marked base gets a per-call comb at its first power in the block
-    (sized for that exponent) and loses it at block exit, whether the
-    block returns or raises.  An inner block keeps the outer marks and
-    restores them at its exit.  A modulus below _HOT_MIN_MODULUS marks
-    nothing.
+    Constructing one from a value of the same class returns that value,
+    so its comb is shared.  The comb is built at the `after`-th power
+    modulo a modulus of at least min_modulus and is bound to that modulus.
     """
-    outer = getattr(_local, "marks", None)
-    marks = dict(outer or {})
-    if modulus >= _HOT_MIN_MODULUS:
-        for base in bases:
-            marks.setdefault((base, modulus), None)
-    _local.marks = marks
-    try:
-        yield
-    finally:
-        _local.marks = outer
+
+    # Comb shape: an index combines `rows` exponent bits, and the table
+    # holds `blocks` blocks of 2**rows entries.  At 2048/256 bits a power
+    # costs 18 squarings and at most 38 multiplications (the builtin pow:
+    # about 256 and 128), and a table holds 256 residues, 0.08 MB.  Eight
+    # rows are about 5% faster per power and take twice the memory.
+    rows, blocks = 7, 2
+    # A build costs about two builtin powers; a CLI invocation powers g
+    # and each key a few times, a long-lived signer hundreds of times.
+    after = 16
+    # Crossover, measured with scripts/modmath_layer.py: a build is repaid
+    # after about 2 table powers at 2048 bits, 8 at 256 bits and 20 at 160
+    # bits; at 64 bits a table power is slower than the builtin pow.
+    min_modulus = _TABLE_MIN_MODULUS
+    # Until the build: no comb, and the count and widest exponent of the powers so far.
+    comb, uses, width = None, 0, 0
+
+    def __new__(cls, value: int):
+        return value if type(value) is cls else super().__new__(cls, value)
+
+    def comb_for(self, exp: int, modulus: int) -> _Comb | None:
+        """The comb that raises self to exp modulo modulus, or None.
+
+        None until the `after`-th power modulo at least min_modulus builds
+        it, and None for a modulus other than the one it was built for.
+        """
+        comb = self.comb
+        if comb is None:
+            if modulus < self.min_modulus:
+                return None
+            self.uses += 1
+            self.width = max(self.width, exp.bit_length())
+            if self.uses < self.after:
+                return None
+            comb = self.comb = _Comb(self, modulus, self.width, self.rows, self.blocks)
+        return comb if comb.modulus == modulus else None
 
 
-def _marked(key: tuple[int, int], exp: int) -> _Comb | None:
-    """The per-call comb of a base marked by hot, built at its first power; else None."""
-    marks = getattr(_local, "marks", None)
-    if not marks or key not in marks:
-        return None
-    comb = marks[key]
-    if comb is None:
-        comb = marks[key] = _Comb(*key, exp.bit_length(), _HOT_ROWS, _HOT_BLOCKS)
-    return comb
+class PerCallBase(FixedBase):
+    """A base powered a few times in one call: its comb is built at its first power.
+
+    At 2048/256 bits a build is 192 squarings and a power 64 squarings
+    and at most 64 multiplications.  A build and two powers take 0.7 of
+    the time of two builtin pows at 2048 bits, 0.9 at 512, 1.0 at 384 and
+    1.1 at 256 (timed as in scripts/modmath_layer.py), so below 512 bits
+    it builds nothing.  A build and one power take about 1.1 of one
+    builtin pow at 2048 bits.
+    """
+
+    rows, blocks = 4, 1
+    after = 1
+    min_modulus = 1 << (512 - 1)
 
 
 def _power(base: int, exp: int, modulus: int) -> int:
-    """pow(base, exp, modulus), from the base's table or per-call comb where it has one."""
+    """pow(base, exp, modulus), from the base's comb where it has one that fits."""
     if exp < 0 or modulus < _TABLE_MIN_MODULUS:
         return pow(base, exp, modulus)
-    key = (base, modulus)
-    build_width = None
-    with _lock:
-        table = _tables.pop(key, None)
-        if table is not None:
-            _tables[key] = table
-        else:
-            seen = _uses.pop(key, None) or [0, 0]
-            seen[0] += 1
-            seen[1] = max(seen[1], exp.bit_length())
-            if seen[0] >= _TABLE_AFTER:
-                build_width = seen[1]
-            else:
-                _uses[key] = seen
-                if len(_uses) > _MAX_COUNTED:
-                    del _uses[next(iter(_uses))]
-    if build_width is not None:
-        table = _Comb(base, modulus, build_width)
-        with _lock:
-            _tables[key] = table
-            if len(_tables) > _MAX_TABLES:
-                del _tables[next(iter(_tables))]
-    if table is None:
-        table = _marked(key, exp)
-    if table is None or exp.bit_length() > table.width:
+    comb = base.comb_for(exp, modulus) if isinstance(base, FixedBase) else None
+    if comb is None or exp.bit_length() > comb.width:
         return pow(base, exp, modulus)
-    return table.power(exp)
+    return comb.power(exp)
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:

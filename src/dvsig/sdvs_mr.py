@@ -22,8 +22,9 @@ towards y_B.  The private helpers below are the shared core: _sign,
 _recover (every check of the three verifiers, in one order, around one
 opening of g**-k2 from one t**s, one y_A**r and one modular inverse)
 and _simulate.  _recover powers t twice (to q, then to s) and the UDVS
-e twice (to q, then to x_B), so it marks both with modmath.hot: each
-gets a per-call comb instead of a second builtin pow.
+e twice (to q, then to x_B), so for the length of the call it holds
+both as modmath.PerCallBase: each builds a per-call comb at its first
+power, and the second power reads it instead of a builtin pow.
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1); the map
 (w1, w2) -> (k1, k2) = (x_A * w1**-1, x_A * w1**-1 * w2) is a bijection
@@ -34,11 +35,11 @@ real ones.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InvalidNonce, InvalidRandomness, InvalidSignature
 from .groupparams import GroupParams
-from .modmath import ZQ, ZQ_STAR, hot, mod_exp, mod_inv, pow_in_subgroup, sample_space
+from .modmath import ZQ, ZQ_STAR, PerCallBase, mod_exp, mod_inv, pow_in_subgroup, sample_space
 from .msghash import HashMode, Message, hash_to_zq, recovered_message
 
 
@@ -90,34 +91,35 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
     In order: r and s must lie in [0, q), each named unit field in
     [1, p), t in the order-q subgroup without 1, e (where named) in that
     subgroup and y_A in [1, p).  Then g**-k2 = t**s * y_A**-r opens the
-    signature, value(g**-k2) unblinds the message, and r = H(m, g**k2)
+    signature, value(g**-k2, sig) unblinds the message, and r = H(m, g**k2)
     accepts it, as msghash.recovered_message(m): a bare residue is no error.
-    x_B reaches e only after e**q = 1 has passed.
+    The sig that value gets holds t and e as PerCallBase, so e**x_B reads
+    the comb that e**q built, and x_B reaches e only after e**q = 1 has passed.
     """
     p, q = params.p, params.q
-    twice = (sig.t, sig.e) if "e" in units else (sig.t,)  # raised to q, then to s or x_B
-    with hot(p, *twice):
-        if not (0 <= sig.r < q and 0 <= sig.s < q):
-            raise InvalidSignature("r or s outside [0, q)")
-        for name in units:
-            if not 1 <= getattr(sig, name) < p:
-                raise InvalidSignature(f"{name} outside [1, p)")
-        if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
-            raise InvalidSignature("t is not a nontrivial order-q subgroup element")
-        if "e" in units and mod_exp(sig.e, q, p) != 1:
-            raise InvalidSignature("e is not an order-q subgroup element")
-        # Outside [1, p) y_A**r can be 0, which has no inverse.
-        if not 1 <= signer_public < p:
-            raise InvalidSignature("signer public key outside [1, p)")
-        y_r = pow_in_subgroup(signer_public, sig.r, p, q)
-        t_s = pow_in_subgroup(sig.t, sig.s, p, q)
-        # Montgomery's trick: one inverse of t**s * y_A**r gives g**-k2 = t**s * y_A**-r
-        # and g**k2 = y_A**r * t**-s.  Neither factor is 0, as t and y_A lie in [1, p).
-        inverse = mod_inv(t_s * y_r % p, p)
-        unblind = t_s * t_s % p * inverse % p
-        m = value(unblind)
-        if hash_to_zq(m, y_r * y_r % p * inverse % p, params, mode) != sig.r:
-            raise InvalidSignature("hash check failed")
+    twice = ("t", "e") if "e" in units else ("t",)  # raised to q, then to s or x_B
+    sig = replace(sig, **{name: PerCallBase(getattr(sig, name)) for name in twice})
+    if not (0 <= sig.r < q and 0 <= sig.s < q):
+        raise InvalidSignature("r or s outside [0, q)")
+    for name in units:
+        if not 1 <= getattr(sig, name) < p:
+            raise InvalidSignature(f"{name} outside [1, p)")
+    if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
+        raise InvalidSignature("t is not a nontrivial order-q subgroup element")
+    if "e" in units and mod_exp(sig.e, q, p) != 1:
+        raise InvalidSignature("e is not an order-q subgroup element")
+    # Outside [1, p) y_A**r can be 0, which has no inverse.
+    if not 1 <= signer_public < p:
+        raise InvalidSignature("signer public key outside [1, p)")
+    y_r = pow_in_subgroup(signer_public, sig.r, p, q)
+    t_s = pow_in_subgroup(sig.t, sig.s, p, q)
+    # Montgomery's trick: one inverse of t**s * y_A**r gives g**-k2 = t**s * y_A**-r
+    # and g**k2 = y_A**r * t**-s.  Neither factor is 0, as t and y_A lie in [1, p).
+    inverse = mod_inv(t_s * y_r % p, p)
+    unblind = t_s * t_s % p * inverse % p
+    m = value(unblind, sig)
+    if hash_to_zq(m, y_r * y_r % p * inverse % p, params, mode) != sig.r:
+        raise InvalidSignature("hash check failed")
     return recovered_message(m, params)
 
 
@@ -159,7 +161,7 @@ def mr_recover_verify(
     """Recover the message and verify in one step; needs the verifier secret."""
     p = params.p
     return _recover(params, signer_public, sig, ("c",),
-                    lambda unblind: sig.c * mod_exp(unblind, verifier_secret, p) % p, mode)
+                    lambda unblind, _: sig.c * mod_exp(unblind, verifier_secret, p) % p, mode)
 
 
 def mr_simulate(

@@ -228,9 +228,9 @@ def _run_pipeline(workdir):
     steps = [
         ["params", "gen", "--preset", "toy23", "--out", art("toy.params")],
         ["params", "gen", "--q-bits", "8", "--p-bits", "24", "--seed", "5", "--out", art("small.params")],
-        ["keygen", "--params", art("toy.params"), "--seed", "11", "--role", "signer",
+        ["keygen", "--params", art("toy.params"), "--seed", "11",
          "--out-secret", art("signer.sec"), "--out-public", art("signer.pub")],
-        ["keygen", "--params", art("toy.params"), "--seed", "22", "--role", "verifier",
+        ["keygen", "--params", art("toy.params"), "--seed", "22",
          "--out-secret", art("verifier.sec"), "--out-public", art("verifier.pub")],
         ["sign", "--scheme", "pv", "--params", art("toy.params"), "--key", art("signer.sec"),
          "--raw-residue", "7", "--seed", "33", "--hash", "stub", "--allow-insecure",

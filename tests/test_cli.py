@@ -26,9 +26,9 @@ def toyfiles(tmp_path):
         "verifier_pub": tmp_path / "verifier.pub",
     }
     assert run(["params", "gen", "--preset", "toy23", "--out", str(paths["params"])]) == 0
-    assert run(["keygen", "--params", str(paths["params"]), "--seed", "11", "--role", "signer",
+    assert run(["keygen", "--params", str(paths["params"]), "--seed", "11",
                 "--out-secret", str(paths["signer_sec"]), "--out-public", str(paths["signer_pub"])]) == 0
-    assert run(["keygen", "--params", str(paths["params"]), "--seed", "22", "--role", "verifier",
+    assert run(["keygen", "--params", str(paths["params"]), "--seed", "22",
                 "--out-secret", str(paths["verifier_sec"]), "--out-public", str(paths["verifier_pub"])]) == 0
     return {name: str(path) for name, path in paths.items()}
 
@@ -297,6 +297,10 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
     # missing subcommand
     assert run([]) == 2
+    # keygen writes no role, so it takes none
+    assert run(["keygen", "--params", toyfiles["params"], "--seed", "1", "--role", "signer",
+                "--out-secret", str(tmp_path / "k.sec"), "--out-public", str(tmp_path / "k.pub")]) == 2
+    assert not (tmp_path / "k.sec").exists()
     # a group too large for the exhaustive oracle (GroupTooLarge)
     big_toy = tmp_path / "q8.params"
     assert run(["params", "gen", "--q-bits", "8", "--p-bits", "24", "--seed", "5",
@@ -355,7 +359,7 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
 OPTIONS = {
     "params gen": {"--q-bits", "--p-bits", "--preset", "--out", "--seed"},
     "params check": {"--in"},
-    "keygen": {"--params", "--role", "--out-secret", "--out-public", "--seed"},
+    "keygen": {"--params", "--out-secret", "--out-public", "--seed"},
     "sign": {"--scheme", "--params", "--key", "--verifier-key", "--message", "--raw-residue",
              "--out", "--seed", "--hash", "--allow-insecure"},
     "verify": {"--scheme", "--params", "--key", "--signer-key", "--message", "--raw-residue",
@@ -554,7 +558,7 @@ def test_full_size_message_file_pipeline(tmp_path, big):
     params_file = tmp_path / "big.params"
     params_file.write_text(wirefmt.armor(big))
     for name, seed in (("signer", 1), ("verifier", 2)):
-        assert run(["keygen", "--params", str(params_file), "--seed", str(seed), "--role", name,
+        assert run(["keygen", "--params", str(params_file), "--seed", str(seed),
                     "--out-secret", str(tmp_path / f"{name}.sec"),
                     "--out-public", str(tmp_path / f"{name}.pub")]) == 0
     msg = tmp_path / "msg.bin"
@@ -580,7 +584,7 @@ def test_full_size_message_file_pipeline(tmp_path, big):
 def test_pv_verify_recovered_payload_printed(tmp_path, big, capsys):
     params_file = tmp_path / "big.params"
     params_file.write_text(wirefmt.armor(big))
-    assert run(["keygen", "--params", str(params_file), "--seed", "1", "--role", "signer",
+    assert run(["keygen", "--params", str(params_file), "--seed", "1",
                 "--out-secret", str(tmp_path / "s.sec"), "--out-public", str(tmp_path / "s.pub")]) == 0
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"\x00\x01payload")

@@ -86,7 +86,7 @@ def write_setting(d, name: str, params) -> dict:
     (d / "params").write_text(wirefmt.armor(params))
     for role, seed in KEY_SEEDS.items():
         f[f"{role}.sec"], f[f"{role}.pub"] = str(d / f"{role}.sec"), str(d / f"{role}.pub")
-        assert run(["keygen", "--params", f["params"], "--seed", str(seed), "--role", role,
+        assert run(["keygen", "--params", f["params"], "--seed", str(seed),
                     "--out-secret", f[f"{role}.sec"], "--out-public", f[f"{role}.pub"]]) == 0
     f["pv.sig"] = str(d / "pv.sig")
     assert run(["sign", "--scheme", "pv", "--params", f["params"], "--key", f["signer.sec"],

@@ -53,7 +53,7 @@ def exp_counter(monkeypatch):
 def wide():
     """A group whose modulus reaches modmath's tables and per-call combs (512 bits)."""
     params = generate_params(64, 512, random.Random(3))
-    assert params.p >= modmath._HOT_MIN_MODULUS
+    assert params.p >= modmath.PerCallBase.min_modulus
     return params
 
 

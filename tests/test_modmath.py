@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -8,8 +9,13 @@ from hypothesis import given, settings, strategies as st
 from dvsig import modmath, wirefmt
 from dvsig.cli import run
 from dvsig.errors import DegenerateHash, NonInvertible
-from dvsig.groupparams import generate_params
-from dvsig.modmath import ZQ, ZQ_STAR, mod_exp, mod_inv, pow_in_subgroup, sample_space, sample_uniform
+from dvsig.groupparams import GroupParams, generate_params
+from dvsig.keys import keygen
+from dvsig.modmath import (ZQ, ZQ_STAR, FixedBase, PerCallBase, mod_exp, mod_inv, pow_in_subgroup,
+                           sample_space, sample_uniform)
+from dvsig.msghash import encode_message
+from dvsig.pv_scheme import psg, psv
+from dvsig.sdvs_mr import RecoveryNonces
 
 
 def repeated_multiplication(base, exp, modulus):
@@ -142,30 +148,37 @@ def test_sample_space_gives_up_once_every_draw_is_rejected():
 
 # ------------------------------------------------------- fixed-base tables
 
-# Table powers must equal the builtin pow bit for bit; tables are built
-# only for hot bases of full-size moduli, and their number is bounded.
-
-
-def forget_all_bases():
-    """Empty the table cache and the use counter, as in a fresh process."""
-    modmath._tables.clear()
-    modmath._uses.clear()
+# Table powers must equal the builtin pow bit for bit; a FixedBase builds
+# its table only at its 16th power modulo a full-size modulus.  The
+# shared `big` params and keys keep their tables from test to test, so
+# these tests mark fresh values.
 
 
 @pytest.fixture()
-def tables():
-    forget_all_bases()
-    yield modmath._tables
-    forget_all_bases()
+def builds(monkeypatch):
+    """(rows, blocks) of every comb built while the test runs, in order."""
+    built = []
+
+    class Recorded(modmath._Comb):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self.rows, self.blocks))
+
+    monkeypatch.setattr(modmath, "_Comb", Recorded)
+    return built
 
 
-def tabled(base, params):
-    """The table of base, built by using it with exponent q - 1 as often as it takes."""
+def tabled(value, params):
+    """A fresh FixedBase of value, powered with exponent q - 1 until it has its table."""
     p, q = params.p, params.q
-    if (base, p) not in modmath._tables:
-        for _ in range(modmath._TABLE_AFTER):
-            assert mod_exp(base, q - 1, p) == pow(base, q - 1, p)
-    return modmath._tables[(base, p)]
+    base = FixedBase(int(value))
+    for _ in range(FixedBase.after):
+        assert mod_exp(base, q - 1, p) == pow(int(base), q - 1, p)
+    comb = base.comb
+    assert (comb.rows, comb.blocks, comb.modulus) == (FixedBase.rows, FixedBase.blocks, p)
+    return base, comb
 
 
 def outside_subgroup(params):
@@ -191,122 +204,154 @@ def special_or_below_q(params):
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_table_power_equals_builtin(big, big_signer, name, tables):
-    base = BASES[name](big, big_signer)
-    table = tabled(base, big)
+def test_table_power_equals_builtin(big, big_signer, name):
+    base, table = tabled(BASES[name](big, big_signer), big)
 
     @TABLE_SETTINGS
     @given(special_or_below_q(big))
     def check(exp):
         assert exp.bit_length() <= table.width
-        assert mod_exp(base, exp, big.p) == pow(base, exp, big.p)
-        assert pow_in_subgroup(base, exp, big.p, big.q) == pow(base, exp % big.q, big.p)
-        assert modmath._tables[(base, big.p)] is table
+        assert mod_exp(base, exp, big.p) == pow(int(base), exp, big.p)
+        assert pow_in_subgroup(base, exp, big.p, big.q) == pow(int(base), exp % big.q, big.p)
+        assert base.comb is table
 
     check()
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_exponents_wider_than_the_table_fall_back(big, big_signer, name, tables):
-    base = BASES[name](big, big_signer)
-    table = tabled(base, big)
+def test_exponents_wider_than_the_table_fall_back(big, big_signer, name):
+    base, table = tabled(BASES[name](big, big_signer), big)
 
     @TABLE_SETTINGS
     @given(st.integers(min_value=1 << table.width, max_value=1 << (2 * table.width)))
     def check(exp):
-        assert mod_exp(base, exp, big.p) == pow(base, exp, big.p)
-        assert modmath._tables[(base, big.p)] is table
+        assert mod_exp(base, exp, big.p) == pow(int(base), exp, big.p)
+        assert base.comb is table
 
     check()
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_negative_exponents_through_pow_in_subgroup(big, big_signer, name, tables):
-    base = BASES[name](big, big_signer)
+def test_negative_exponents_through_pow_in_subgroup(big, big_signer, name):
+    base, _ = tabled(BASES[name](big, big_signer), big)
     p, q = big.p, big.q
-    tabled(base, big)
 
     @TABLE_SETTINGS
     @given(special_or_below_q(big))
     def check(k):
-        assert pow_in_subgroup(base, -k, p, q) == pow(base, -k % q, p)
-        if pow(base, q, p) == 1:
-            assert pow_in_subgroup(base, -k, p, q) == pow(base, -k, p)
+        assert pow_in_subgroup(base, -k, p, q) == pow(int(base), -k % q, p)
+        if pow(int(base), q, p) == 1:
+            assert pow_in_subgroup(base, -k, p, q) == pow(int(base), -k, p)
 
     check()
 
 
-def test_fewer_uses_than_the_threshold_build_no_table(big, tables):
-    p, q, g = big.p, big.q, big.g
-    for k in range(1, modmath._TABLE_AFTER):
-        assert mod_exp(g, q - k, p) == pow(g, q - k, p)
-    assert not tables
-    assert pow_in_subgroup(g, -1, p, q) == pow(g, q - 1, p)
-    assert (g, p) in tables
+def test_fewer_uses_than_the_threshold_build_no_table(big, builds):
+    p, q = big.p, big.q
+    g = FixedBase(int(big.g))
+    for k in range(1, FixedBase.after):
+        assert mod_exp(g, q - k, p) == pow(int(g), q - k, p)
+    assert g.comb is None and not builds
+    assert pow_in_subgroup(g, -1, p, q) == pow(int(g), q - 1, p)
+    assert builds == [(FixedBase.rows, FixedBase.blocks)] and g.comb.width >= q.bit_length()
 
 
 @pytest.mark.parametrize("group", ["toy", "midsize"])
-def test_small_groups_never_build_a_table(request, group, tables):
+def test_small_groups_never_build_a_table(request, group, builds):
     params = request.getfixturevalue(group)
-    p, q, g = params.p, params.q, params.g
-    for k in range(4 * modmath._TABLE_AFTER):
-        assert mod_exp(g, k % q, p) == pow(g, k % q, p)
-        assert pow_in_subgroup(g, -k, p, q) == pow(g, -k % q, p)
-    assert not tables and not modmath._uses
+    p, q = params.p, params.q
+    g = FixedBase(int(params.g))
+    for k in range(4 * FixedBase.after):
+        assert mod_exp(g, k % q, p) == pow(int(g), k % q, p)
+        assert pow_in_subgroup(g, -k, p, q) == pow(int(g), -k % q, p)
+    assert g.comb is None and g.uses == 0 and not builds
 
 
-def test_table_and_counter_counts_stay_within_their_caps(big, tables):
-    p, q, g = big.p, big.q, big.g
-    bases = [pow(g, i, p) for i in range(2, modmath._MAX_TABLES + 4)]
-    for base in bases:
-        tabled(base, big)
-        assert len(tables) <= modmath._MAX_TABLES
-    assert list(tables) == [(base, p) for base in bases[-modmath._MAX_TABLES:]]
-    for i in range(2 * modmath._MAX_COUNTED):
-        assert mod_exp(g + i, 3, p) == pow(g + i, 3, p)
-    assert len(modmath._uses) == modmath._MAX_COUNTED
+def test_marking_a_marked_value_returns_it(big):
+    """A key pair and its public key share one FixedBase, and so one table."""
+    pair = keygen(big, random.Random(303))
+    assert type(pair.y) is FixedBase and pair.public().y is pair.y
+    assert FixedBase(pair.y) is pair.y and FixedBase(big.g) is big.g
+    assert type(GroupParams(big.p, big.q, int(big.g)).g) is FixedBase
+    assert PerCallBase(pair.y) is not pair.y and PerCallBase(pair.y) == pair.y
 
 
-def test_one_shot_cli_processes_build_no_table(big, big_signer, big_verifier, tmp_path, tables):
-    """sign and verify on 2048-bit files, each run as a fresh process sees it."""
+@pytest.mark.parametrize("form", [FixedBase, PerCallBase])
+def test_a_comb_leaves_other_moduli_to_the_builtin_pow(big, form, builds):
+    """The comb is bound to the modulus of the power that built it."""
+    p, q = big.p, big.q
+    other = p - 2
+    base = form(int(big.g))
+    for _ in range(form.after):
+        assert mod_exp(base, q - 1, p) == pow(int(base), q - 1, p)
+    comb = base.comb
+    assert comb.modulus == p and builds == [(form.rows, form.blocks)]
+    for exp in (0, 1, q - 1, random.Random(5).randrange(q)):
+        assert mod_exp(base, exp, other) == pow(int(base), exp, other)
+        assert pow_in_subgroup(base, -exp, other, q) == pow(int(base), -exp % q, other)
+    assert base.comb is comb and len(builds) == 1
+
+
+def test_a_table_is_freed_with_its_owner(big):
+    params = GroupParams(big.p, big.q, int(big.g))
+    for _ in range(FixedBase.after):
+        mod_exp(params.g, big.q - 1, big.p)
+    table = params.g.comb
+    assert table is not None
+    del params
+    gc.collect()
+    # Only the local name and getrefcount's own argument still hold it.
+    assert sys.getrefcount(table) == 2
+
+
+def test_one_shot_cli_processes_build_no_table(big, big_signer, big_verifier, tmp_path, builds):
+    """Each in-process run loads fresh params and keys, as a one-shot process does, so rounds
+    of sign, designate, verify and recover on 2048-bit files never reach a table."""
     files = {"params": big, "signer.sec": big_signer.secret(), "signer.pub": big_signer.public(),
              "verifier.sec": big_verifier.secret(), "verifier.pub": big_verifier.public()}
     for name, value in files.items():
         (tmp_path / name).write_text(wirefmt.armor(value))
     (tmp_path / "m.bin").write_bytes(b"one-shot")
-    f = {name: str(tmp_path / name) for name in (*files, "m.bin", "m.rsig", "m.pvsig")}
+    f = {name: str(tmp_path / name)
+         for name in (*files, "m.bin", "m.pvsig", "m.dvsig", "m.rsig")}
     group = ["--params", f["params"]]
     runs = [
+        ["sign", "--scheme", "pv", *group, "--key", f["signer.sec"], "--message", f["m.bin"],
+         "--seed", "2", "--out", f["m.pvsig"]],
+        ["verify", "--scheme", "pv", *group, "--signer-key", f["signer.pub"],
+         "--in", f["m.pvsig"], "--expect-message", f["m.bin"]],
+        ["designate", *group, "--signer-key", f["signer.pub"], "--verifier-key", f["verifier.pub"],
+         "--in", f["m.pvsig"], "--seed", "3", "--out", f["m.dvsig"]],
+        ["dverify", *group, "--key", f["verifier.sec"], "--signer-key", f["signer.pub"],
+         "--in", f["m.dvsig"]],
         ["sign", "--scheme", "leechang", *group, "--key", f["signer.sec"],
          "--verifier-key", f["verifier.pub"], "--message", f["m.bin"], "--seed", "1",
          "--out", f["m.rsig"]],
         ["recover", "--scheme", "leechang", *group, "--key", f["verifier.sec"],
          "--signer-key", f["signer.pub"], "--in", f["m.rsig"]],
-        ["sign", "--scheme", "pv", *group, "--key", f["signer.sec"], "--message", f["m.bin"],
-         "--seed", "2", "--out", f["m.pvsig"]],
-        ["verify", "--scheme", "pv", *group, "--signer-key", f["signer.pub"],
-         "--in", f["m.pvsig"], "--expect-message", f["m.bin"]],
     ]
-    for argv in runs:
-        forget_all_bases()
-        assert run(argv) == 0
-        assert not tables, argv[:3]
+    for _ in range(4):
+        for argv in runs:
+            assert run(argv) == 0, argv[:3]
+    assert (FixedBase.rows, FixedBase.blocks) not in builds
+    # Per round: one per-call comb each in verify, designate (its psv) and recover; two in dverify.
+    assert builds.count((PerCallBase.rows, PerCallBase.blocks)) == 4 * 5
 
 
-def test_threads_share_the_cache_safely(tables):
-    """More threads than cores churn five hot bases through the tables and
-    one-off bases through the counter; every power stays exact."""
+def test_threads_share_the_cache_safely(builds):
+    """More threads than cores share five marked bases, each past its table build, and
+    power one-off bases beside them; every power stays exact."""
     params = generate_params(64, 256, random.Random(3))
     p, q, g = params.p, params.q, params.g
-    hot = [pow(g, i, p) for i in range(1, modmath._MAX_TABLES + 3)]
+    shared = [FixedBase(pow(g, i, p)) for i in range(1, 6)]
     wrong, finished = [], []
 
     def work(seed):
         rng = random.Random(seed)
         for _ in range(1000):
-            base = rng.choice(hot) if rng.random() < 0.5 else rng.randrange(2, p)
+            base = rng.choice(shared) if rng.random() < 0.5 else rng.randrange(2, p)
             exp = rng.randrange(q)
-            if mod_exp(base, exp, p) != pow(base, exp, p):
+            if mod_exp(base, exp, p) != pow(int(base), exp, p):
                 wrong.append((base, exp))
         finished.append(seed)
 
@@ -322,27 +367,23 @@ def test_threads_share_the_cache_safely(tables):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(finished) == list(range(4)) and not wrong
-    assert tables and len(tables) <= modmath._MAX_TABLES
-    assert len(modmath._uses) <= modmath._MAX_COUNTED
+    assert all(base.comb is not None for base in shared)
+    assert len(shared) <= len(builds) <= 4 * len(shared)
 
 
 # ----------------------------------------------------------- marked bases
 
-# Inside a hot block a marked base is powered from a per-call comb, which
-# must equal the builtin pow bit for bit and must not outlive the block.
-
-
-def marks():
-    """The calling thread's marks: {(base, modulus): comb or None}, None outside any block."""
-    return getattr(modmath._local, "marks", None)
+# A PerCallBase is powered from a comb built at its first power, which
+# must equal the builtin pow bit for bit.
 
 
 def marked_comb(base, params):
-    """The per-call comb of a marked base, built by its first power, with exponent q."""
+    """The per-call comb of a PerCallBase, built by its first power, with exponent q."""
     p, q = params.p, params.q
-    assert mod_exp(base, q, p) == pow(base, q, p)
-    comb = marks()[(base, p)]
-    assert isinstance(comb, modmath._Comb) and (comb.rows, comb.blocks) == (modmath._HOT_ROWS, 1)
+    assert base.comb is None
+    assert mod_exp(base, q, p) == pow(int(base), q, p)
+    comb = base.comb
+    assert (comb.rows, comb.blocks) == (PerCallBase.rows, PerCallBase.blocks)
     return comb
 
 
@@ -359,93 +400,43 @@ MARKED_BASES = {
 
 
 @pytest.mark.parametrize("name", MARKED_BASES)
-def test_marked_power_equals_builtin(big, name, tables):
-    base = MARKED_BASES[name](big)
+def test_marked_power_equals_builtin(big, name, builds):
+    base = PerCallBase(MARKED_BASES[name](big))
     p, q = big.p, big.q
-    with modmath.hot(p, base):
-        comb = marked_comb(base, big)
-        assert comb.width == q.bit_length()
-        for exp in (0, 1, q - 1, (1 << comb.width) - 1, random.Random(name).randrange(q)):
-            assert mod_exp(base, exp, p) == pow(base, exp, p)
-            assert pow_in_subgroup(base, -exp, p, q) == pow(base, -exp % q, p)
-        wider = 1 << comb.width
-        assert mod_exp(base, wider, p) == pow(base, wider, p)
-        assert mod_exp(base, wider + q, p) == pow(base, wider + q, p)
-        assert marks()[(base, p)] is comb
-    # 13 uses: below the table threshold, so the comb served every power that fit it.
-    assert not tables
-
-
-def test_a_table_takes_precedence_over_a_mark(big, tables):
-    p, q, g = big.p, big.q, big.g
-    table = tabled(g, big)
-    with modmath.hot(p, g):
-        assert mod_exp(g, q - 2, p) == pow(g, q - 2, p)
-        assert marks()[(g, p)] is None
-    assert tables[(g, p)] is table
+    comb = marked_comb(base, big)
+    assert comb.width == q.bit_length()
+    for exp in (0, 1, q - 1, (1 << comb.width) - 1, random.Random(name).randrange(q)):
+        assert mod_exp(base, exp, p) == pow(int(base), exp, p)
+        assert pow_in_subgroup(base, -exp, p, q) == pow(int(base), -exp % q, p)
+    wider = 1 << comb.width
+    assert mod_exp(base, wider, p) == pow(int(base), wider, p)
+    assert mod_exp(base, wider + q, p) == pow(int(base), wider + q, p)
+    assert base.comb is comb and len(builds) == 1
 
 
 @pytest.mark.parametrize("group", ["toy", "midsize", "256 bits"])
-def test_small_moduli_mark_nothing(request, group, tables):
-    """Below _TABLE_MIN_MODULUS, and from there up to _HOT_MIN_MODULUS, where a table may
-    be built but a per-call comb would lose to the builtin pow."""
+def test_small_moduli_mark_nothing(request, group, builds):
+    """Below 256 bits nothing is built, and from there up to 512 bits a FixedBase may
+    build a table but a PerCallBase, whose comb would lose to the builtin pow, does not."""
     if group == "256 bits":
         params = generate_params(64, 256, random.Random(3))
-        assert modmath._TABLE_MIN_MODULUS <= params.p < modmath._HOT_MIN_MODULUS
+        assert FixedBase.min_modulus <= params.p < PerCallBase.min_modulus
     else:
         params = request.getfixturevalue(group)
-    p, q, g = params.p, params.q, params.g
-    with modmath.hot(p, g, p - 1):
-        for base in (g, p - 1):
-            for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
-                assert pow_in_subgroup(base, k, p, q) == pow(base, k % q, p)
-                assert mod_exp(base, abs(k), p) == pow(base, abs(k), p)
-        assert marks() == {}
-    assert marks() is None and not tables
-
-
-def test_marks_and_combs_end_with_their_block(big, tables):
-    p, q, g = big.p, big.q, big.g
-    h = pow(g, 5, p)
-    assert marks() is None
-    with modmath.hot(p, g):
-        outer = marked_comb(g, big)
-        with modmath.hot(p, h):
-            assert marks()[(g, p)] is outer
-            marked_comb(h, big)
-        assert marks() == {(g, p): outer}
-    assert marks() is None
-    with pytest.raises(ZeroDivisionError):
-        with modmath.hot(p, h):
-            marked_comb(h, big)
-            raise ZeroDivisionError
-    assert marks() is None
-    assert mod_exp(h, q - 1, p) == pow(h, q - 1, p)
-    assert not tables
-
-
-def test_threads_never_see_each_others_marks(big, tables):
-    p, q, g = big.p, big.q, big.g
-    bases = [pow(g, i, p) for i in (2, 3)]
-    inside = threading.Barrier(2, timeout=60)
-    seen, finished = {}, []
-
-    def work(base):
-        with modmath.hot(p, base):
-            inside.wait()
-            marked_comb(base, big)
-            inside.wait()
-            seen[base] = set(marks())
-            assert mod_exp(base, q - 1, p) == pow(base, q - 1, p)
-        seen[base, "after"] = marks()
-        finished.append(base)
-
-    threads = [threading.Thread(target=work, args=(base,)) for base in bases]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(finished) == sorted(bases)
+    p, q = params.p, params.q
+    bases = [PerCallBase(int(params.g)), PerCallBase(p - 1)]
     for base in bases:
-        assert seen[base] == {(base, p)} and seen[base, "after"] is None
+        for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
+            assert pow_in_subgroup(base, k, p, q) == pow(int(base), k % q, p)
+            assert mod_exp(base, abs(k), p) == pow(int(base), abs(k), p)
+    assert all(base.comb is None for base in bases) and not builds
+
+
+def test_two_psv_calls_on_one_signature_build_two_per_call_combs(big, big_signer, builds):
+    sig = psg(big, big_signer.x, encode_message(b"twice", big),
+              RecoveryNonces(k1=5, k2=7))
+    builds.clear()
+    for _ in range(2):
+        assert psv(big, big_signer.y, sig).payload == b"twice"
+    assert builds.count((PerCallBase.rows, PerCallBase.blocks)) == 2
+    assert type(sig.t) is int
