@@ -17,14 +17,17 @@ modulus).  The comb lives and dies with the residue that owns it.
 
 There are two forms.  A FixedBase is long-lived: GroupParams.g,
 PublicKey.y and KeyPair.y mark themselves so, and at the 16th power a
-base builds a table (7 rows, 2 blocks) whose powers take under a
-quarter of the time of the builtin pow at 2048 bits.  A PerCallBase
-builds a smaller comb (4 rows, 1 block) at its first power modulo 512
-bits or more; sdvs_mr._recover marks t and the UDVS e so for one call,
-as it raises each to q and then to s or x_B.  Marking a value already
-of the form returns it unchanged.  A process that loads its group and
-keys once per invocation, as the CLI does, powers each of them a few
-times and builds no table.
+base builds a table (8 rows, 4 blocks) whose powers take about a
+seventh of the time of the builtin pow at 2048 bits.  Saeednia's
+sds_verify and Lee-Chang's mr_simulate write their powers by the
+verifier's secret as powers of g and y_A, so they read these tables
+too.  Saeednia, Lee-Chang and PV signing and the three simulators take
+table powers only.  A PerCallBase builds a smaller comb (4 rows, 1
+block) at its first power modulo 512 bits or more; sdvs_mr._recover
+marks t and the UDVS e so for one call, as it raises each to q and then
+to s or x_B.  Marking a value already of the form returns it unchanged.
+A process that loads its group and keys once per invocation, as the CLI
+does, powers each of them a few times and builds no table.
 
 There is no module state: no cache, no lock, no thread-local.  Two
 threads that power one base may both build its comb, which is
@@ -119,16 +122,18 @@ class FixedBase(int):
 
     # Comb shape: an index combines `rows` exponent bits, and the table
     # holds `blocks` blocks of 2**rows entries.  At 2048/256 bits a power
-    # costs 18 squarings and at most 38 multiplications (the builtin pow:
-    # about 256 and 128), and a table holds 256 residues, 0.08 MB.  Eight
-    # rows are about 5% faster per power and take twice the memory.
-    rows, blocks = 7, 2
-    # A build costs about two builtin powers; a CLI invocation powers g
-    # and each key a few times, a long-lived signer hundreds of times.
+    # costs 8 squarings and at most 32 multiplications (the builtin pow:
+    # about 256 and 128), 0.7 ms against 4.6 ms, and a table holds 1,024
+    # residues, 0.31 MB.  7 rows and 2 blocks would take 18 squarings and
+    # 38 multiplications, 1.1 ms, with a quarter of the memory and build.
+    rows, blocks = 8, 4
+    # A build costs about five builtin powers at 2048 bits; a CLI
+    # invocation powers g and each key a few times, a long-lived signer
+    # hundreds of times.
     after = 16
     # Crossover, measured with scripts/modmath_layer.py: a build is repaid
-    # after about 2 table powers at 2048 bits, 8 at 256 bits and 20 at 160
-    # bits; at 64 bits a table power is slower than the builtin pow.
+    # after about 6 table powers at 2048 bits, 22 at 256 bits and 40 at
+    # 160 bits; at 64 bits a table power is slower than the builtin pow.
     min_modulus = _TABLE_MIN_MODULUS
     # Until the build: no comb, and the count and widest exponent of the powers so far.
     comb, uses, width = None, 0, 0

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSignature
+from .errors import InvalidSignature, NonInvertible
 from .groupparams import GroupParams
-from .msghash import HashMode, Message
+from .modmath import mod_inv
+from .msghash import HashMode, Message, hash_to_zq
 from .sdvs_mr import RecoveryNonces, _recover, _sign
 
 
@@ -59,7 +60,20 @@ def psv_matches(
     m_claimed: Message,
     mode: HashMode = HashMode.PRODUCTION,
 ) -> bool:
-    """Companion form that also compares against a caller-supplied message."""
+    """Companion form that also compares against a caller-supplied message.
+
+    For the signed message m, c * m**-1 = g**k2, so r = H(m, c * m**-1)
+    holds; a claimed message that fails this check is refused after one
+    inverse and one hash, without opening the signature.  psv runs only
+    when the check holds, or when m_claimed has no inverse mod p.
+    """
+    try:
+        u = sig.c * mod_inv(m_claimed.value, params.p) % params.p
+    except NonInvertible:
+        pass
+    else:
+        if hash_to_zq(m_claimed.value, u, params, mode) != sig.r:
+            return False
     try:
         recovered = psv(params, signer_public, sig, mode)
     except InvalidSignature:

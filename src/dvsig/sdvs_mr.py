@@ -26,10 +26,14 @@ e twice (to q, then to x_B), so for the length of the call it holds
 both as modmath.PerCallBase: each builds a per-call comb at its first
 power, and the second power reads it instead of a builtin pow.
 
-The verifier simulates from (w1, w2) via t = y_A**(w1**-1); the map
-(w1, w2) -> (k1, k2) = (x_A * w1**-1, x_A * w1**-1 * w2) is a bijection
-of the nonce space, so simulated transcripts are distribution-equal to
-real ones.
+The verifier simulates from (w1, w2) via t = y_A**(w1**-1) and
+u = y_A**(w1**-1 * w2); the map (w1, w2) -> (k1, k2) =
+(x_A * w1**-1, x_A * w1**-1 * w2) is a bijection of the nonce space, so
+simulated transcripts are distribution-equal to real ones.  _simulate
+also returns u's exponent, so the Lee-Chang simulator blinds with
+u**x_B = y_A**(w1**-1 * w2 * x_B), exponent mod q: every power it takes
+is of y_A and reads y_A's fixed-base table.  For a signer key in the
+order-q subgroup that is the textbook u**x_B.
 """
 
 from __future__ import annotations
@@ -125,18 +129,19 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
 
 def _simulate(
     params: GroupParams, signer_public: int, m: Message, w1: int, w2: int, mode: HashMode
-) -> tuple[int, int, int, int]:
-    """(t, u, r, s) of a verifier-side transcript, with u = g**k2."""
+) -> tuple[int, int, int, int, int]:
+    """(t, u, r, s, k) of a verifier-side transcript, with u = g**k2 = y_A**k."""
     p, q = params.p, params.q
     w1 %= q
     w2 %= q
     if w1 == 0:
         raise InvalidRandomness("simulator randomness w1 must be nonzero mod q")
     w1_inv = mod_inv(w1, q)
+    k = w1_inv * w2 % q
     t = mod_exp(signer_public, w1_inv, p)
-    u = mod_exp(signer_public, w1_inv * w2 % q, p)
+    u = mod_exp(signer_public, k, p)
     r = hash_to_zq(m.value, u, params, mode)
-    return t, u, r, (w1 * r - w2) % q
+    return t, u, r, (w1 * r - w2) % q, k
 
 
 def mr_sign(
@@ -174,6 +179,8 @@ def mr_simulate(
     mode: HashMode = HashMode.PRODUCTION,
 ) -> RecoverySignature:
     """Verifier-side transcript from randomness w1 in Z_q*, w2 in Z_q."""
-    t, u, r, s = _simulate(params, signer_public, m, w1, w2, mode)
-    c = m.value * mod_exp(u, verifier_secret, params.p) % params.p
+    p, q = params.p, params.q
+    t, _, r, s, k = _simulate(params, signer_public, m, w1, w2, mode)
+    # u**x_B from y_A's table rather than a builtin power of u.
+    c = m.value * pow_in_subgroup(signer_public, k * verifier_secret, p, q) % p
     return RecoverySignature(t=t, c=c, r=r, s=s)

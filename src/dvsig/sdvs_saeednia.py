@@ -5,8 +5,15 @@ verifier's key material, and publishes (r, s, t) with
 
     r = H(m, c),    s = k * t**-1 - r * x_A  (mod q).
 
-Verification recomputes c as (g**s * y_A**r)**(t * x_B) mod p and so
+Verification recomputes c = (g**s * y_A**r)**(t * x_B) mod p and so
 needs the verifier's secret x_B: nobody else can even check validity.
+It computes c as g**(s*t*x_B) * y_A**(r*t*x_B), exponents mod q, so
+that both powers read the fixed-base tables of g and y_A
+(modmath.FixedBase): two exponentiations, not three.  That equals the
+textbook form for a signer key in the order-q subgroup, which is every
+key keygen makes; for a key outside it the two may differ.  No signer
+key is yet tested for membership of that subgroup.
+
 The verifier can also simulate signatures with the same distribution
 from randomness (s', r'), which is what makes transcripts worthless to
 third parties.
@@ -85,16 +92,19 @@ def sds_verify(
     sig: SaeedniaSignature,
     mode: HashMode = HashMode.PRODUCTION,
 ) -> bool:
-    """Check r = H(m, (g**s * y_A**r)**(t * x_B) mod p); out-of-range fields fail.
+    """Check r = H(m, c) for c = g**(s*t*x_B) * y_A**(r*t*x_B) mod p; out-of-range fields fail.
 
-    So does a signer key outside [1, p), which would otherwise verify as
-    its residue mod p does: one key, one encoding.
+    c is the textbook (g**s * y_A**r)**(t * x_B) for a signer key in the
+    order-q subgroup; for a key outside it the two may differ.  A signer
+    key outside [1, p) fails, as it would otherwise verify as its
+    residue mod p does: one key, one encoding.
     """
     p, q = params.p, params.q
     if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q and 1 <= signer_public < p):
         return False
-    base = mod_exp(params.g, sig.s, p) * mod_exp(signer_public, sig.r, p) % p
-    c = pow_in_subgroup(base, sig.t * verifier_secret, p, q)
+    tx = sig.t * verifier_secret
+    g_part = pow_in_subgroup(params.g, sig.s * tx, p, q)
+    c = g_part * pow_in_subgroup(signer_public, sig.r * tx, p, q) % p
     return hash_to_zq(m.value, c, params, mode) == sig.r
 
 

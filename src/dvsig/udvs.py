@@ -101,7 +101,7 @@ def dv_simulate(
     """Verifier-side DV transcript; always passes dsv_recover for m."""
     p, q = params.p, params.q
     d = rands.d % q
-    t, u, r, s = _simulate(params, signer_public, m, rands.w1, rands.w2, mode)
+    t, u, r, s, _ = _simulate(params, signer_public, m, rands.w1, rands.w2, mode)
     e = pow_in_subgroup(params.g, -d, p, q)
     w = m.value * u % p * mod_exp(params.g, verifier_secret * d % q, p) % p
     return DVSignature(t=t, w=w, r=r, s=s, e=e)

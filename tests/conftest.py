@@ -4,6 +4,7 @@ import pytest
 
 from dvsig.groupparams import TOY23, generate_params
 from dvsig.keys import KeyPair, keygen
+from dvsig.modmath import FixedBase, PerCallBase, mod_exp
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +43,23 @@ def big_signer(big):
 @pytest.fixture(scope="session")
 def big_verifier(big):
     return keygen(big, random.Random(202), role="verifier")
+
+
+@pytest.fixture(scope="session")
+def wide():
+    """A group whose modulus reaches modmath's tables and per-call combs (512 bits)."""
+    params = generate_params(64, 512, random.Random(3))
+    assert params.p >= PerCallBase.min_modulus
+    return params
+
+
+@pytest.fixture(scope="session")
+def wide_tabled(wide):
+    """(signer, verifier) on wide, with g and both keys powered until their tables answer."""
+    rng = random.Random(17)
+    pairs = keygen(wide, rng), keygen(wide, rng)
+    for base in (wide.g, *(pair.y for pair in pairs)):
+        for _ in range(FixedBase.after):
+            mod_exp(base, wide.q - 1, wide.p)
+        assert base.comb is not None and base.comb.width >= wide.q.bit_length()
+    return pairs

@@ -14,13 +14,12 @@ import pytest
 from dvsig import modmath, wirefmt
 from dvsig.cli import run
 from dvsig.errors import InvalidSignature
-from dvsig.groupparams import generate_params
 from dvsig.keys import keygen
 from dvsig.modmath import sample_uniform
 from dvsig.msghash import encode_message
 from dvsig.pv_scheme import psg, psv
 from dvsig.sdvs_mr import mr_recover_verify, mr_sign, mr_simulate, random_nonces
-from dvsig.sdvs_saeednia import SaeedniaNonces, sds_sign, sds_simulate, sds_verify
+from dvsig.sdvs_saeednia import SaeedniaNonces, sds_sign, sds_sign_random, sds_simulate, sds_verify
 from dvsig.udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_simulate
 
 
@@ -49,14 +48,6 @@ def exp_counter(monkeypatch):
     return count
 
 
-@pytest.fixture(scope="module")
-def wide():
-    """A group whose modulus reaches modmath's tables and per-call combs (512 bits)."""
-    params = generate_params(64, 512, random.Random(3))
-    assert params.p >= modmath.PerCallBase.min_modulus
-    return params
-
-
 def test_exponentiations_per_operation(midsize, exp_counter):
     pinned_counts(midsize, exp_counter)
 
@@ -79,7 +70,7 @@ def pinned_counts(params, exp_counter):
     sae, n = exp_counter(lambda: sds_sign(params, x_a, y_b, m, SaeedniaNonces(zq(), zq_star())))
     assert n == 1
     ok, n = exp_counter(lambda: sds_verify(params, y_a, x_b, m, sae))
-    assert ok and n == 3
+    assert ok and n == 2
     _, n = exp_counter(lambda: sds_simulate(params, y_a, x_b, m, zq(), zq_star()))
     assert n == 2
 
@@ -104,21 +95,36 @@ def pinned_counts(params, exp_counter):
     assert n == 4
 
 
-def test_cli_pv_verify_with_expectation_opens_once(midsize, exp_counter, tmp_path):
-    """`verify --scheme pv --expect-message` costs what one psv costs."""
-    signer = keygen(midsize, random.Random(7))
-    files = {"params": midsize, "signer.sec": signer.secret(), "signer.pub": signer.public()}
+def pv_verify_expecting(params, exp_counter, tmp_path, expected: bytes):
+    """(exit code, exponentiations) of `verify --scheme pv --expect-message` on a
+    signature of b"count" against a file holding expected."""
+    signer = keygen(params, random.Random(7))
+    files = {"params": params, "signer.sec": signer.secret(), "signer.pub": signer.public()}
     for name, value in files.items():
         (tmp_path / name).write_text(wirefmt.armor(value))
     (tmp_path / "m.bin").write_bytes(b"count")
+    (tmp_path / "expected.bin").write_bytes(expected)
     group = ["--params", str(tmp_path / "params")]
     assert run(["sign", "--scheme", "pv", *group, "--key", str(tmp_path / "signer.sec"),
                 "--message", str(tmp_path / "m.bin"), "--seed", "1",
                 "--out", str(tmp_path / "m.pvsig")]) == 0
-    code, n = exp_counter(lambda: run(
+    return exp_counter(lambda: run(
         ["verify", "--scheme", "pv", *group, "--signer-key", str(tmp_path / "signer.pub"),
-         "--in", str(tmp_path / "m.pvsig"), "--expect-message", str(tmp_path / "m.bin")]))
+         "--in", str(tmp_path / "m.pvsig"), "--expect-message", str(tmp_path / "expected.bin")]))
+
+
+def test_cli_pv_verify_with_expectation_opens_once(midsize, exp_counter, tmp_path):
+    """`verify --scheme pv --expect-message` costs what one psv costs."""
+    code, n = pv_verify_expecting(midsize, exp_counter, tmp_path, b"count")
     assert code == 0 and n == 3
+
+
+def test_cli_pv_verify_against_another_message_opens_once(midsize, exp_counter, tmp_path, capsys):
+    """A mismatched expectation is refused by psv_matches without opening the signature,
+    so the one opening that prints the recovered message is all it costs."""
+    code, n = pv_verify_expecting(midsize, exp_counter, tmp_path, b"other")
+    assert code == 1 and n == 3
+    assert capsys.readouterr().out == f"REJECT\npayload-hex: {b'count'.hex()}\n"
 
 
 def test_the_verifier_secret_reaches_e_only_after_its_subgroup_test(wide, monkeypatch):
@@ -147,3 +153,27 @@ def test_the_verifier_secret_reaches_e_only_after_its_subgroup_test(wide, monkey
         dsv_recover(wide, signer.y, verifier.x, outside)
     assert (outside.e, q) in powers
     assert not any(base == outside.e and exp != q for base, exp in powers)
+
+
+def test_saeednia_verify_and_lee_chang_simulate_power_only_tabled_bases(wide, wide_tabled,
+                                                                        monkeypatch):
+    """sds_verify raises only g and y_A, and mr_simulate only y_A: FixedBase residues
+    whose tables answer, so no builtin pow of a fresh base is left in either."""
+    signer, verifier = wide_tabled
+    rng = random.Random(13)
+    m = encode_message(b"spy", wide)
+    sig = sds_sign_random(wide, signer.x, verifier.y, m, rng)
+    bases, power = [], modmath._power
+
+    def spy(base, exp, modulus):
+        bases.append(base)
+        return power(base, exp, modulus)
+
+    monkeypatch.setattr(modmath, "_power", spy)
+    assert sds_verify(wide, signer.y, verifier.x, m, sig)
+    assert len(bases) == 2 and bases[0] is wide.g and bases[1] is signer.y
+    bases.clear()
+    mr_simulate(wide, signer.y, verifier.x, m, sample_uniform(wide.q, True, rng),
+                sample_uniform(wide.q, False, rng))
+    assert len(bases) == 3 and all(base is signer.y for base in bases)
+    assert type(signer.y) is modmath.FixedBase and signer.y.comb.modulus == wide.p

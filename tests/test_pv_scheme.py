@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import InvalidNonce, InvalidSignature
 from dvsig.modmath import pow_in_subgroup
-from dvsig.msghash import HashMode, encode_message, raw_message
+from dvsig.msghash import HashMode, Message, encode_message, raw_message
 from dvsig.pv_scheme import PVSignature, psg, psv, psv_matches
 from dvsig.sdvs_mr import RecoveryNonces, random_nonces
 
@@ -41,6 +42,32 @@ def test_psv_matches_compares_claimed_message(toy, toy_signer):
     assert not psv_matches(toy, toy_signer.y, sig, raw_message(8, toy), STUB)
     bad = PVSignature(t=16, c=11, r=4, s=3)
     assert not psv_matches(toy, toy_signer.y, bad, raw_message(7, toy), STUB)
+
+
+def test_psv_matches_is_psv_and_compare_over_every_signature(toy, toy_signer):
+    """On toy23, for every PV signature, each of its one-bit tampers and every claimed
+    residue (0 and p included, which have no inverse), psv_matches holds exactly when
+    psv accepts and recovers the claimed value."""
+    p, q = toy.p, toy.q
+    claims = [Message(value) for value in range(p + 1)]
+    variants = 0
+    for value in range(1, p):
+        m = raw_message(value, toy)
+        for k1 in range(1, q):
+            for k2 in range(q):
+                sig = psg(toy, toy_signer.x, m, RecoveryNonces(k1, k2), STUB)
+                tampers = [replace(sig, **{name: getattr(sig, name) ^ (1 << bit)})
+                           for name in ("t", "c", "r", "s") for bit in range(p.bit_length())]
+                for variant in [sig, *tampers]:
+                    try:
+                        recovered = psv(toy, toy_signer.y, variant, STUB).value
+                    except InvalidSignature:
+                        recovered = None
+                    for claim in claims:
+                        assert psv_matches(toy, toy_signer.y, variant, claim, STUB) == \
+                            (recovered == claim.value), (variant, claim)
+                    variants += 1
+    assert variants == (p - 1) * (q - 1) * q * (1 + 4 * p.bit_length())
 
 
 def test_exhaustive_round_trip(toy, toy_signer):

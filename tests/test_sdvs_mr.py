@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import InvalidNonce, InvalidRandomness, InvalidSignature
 from dvsig.modmath import mod_inv
-from dvsig.msghash import HashMode, encode_message, raw_message
+from dvsig.msghash import HashMode, encode_message, hash_to_zq, raw_message
 from dvsig.sdvs_mr import (
     RecoveryNonces,
     RecoverySignature,
@@ -98,6 +98,23 @@ def test_simulator_bijection_onto_signer_nonces(toy, toy_signer, toy_verifier):
             k2 = k1 * w2 % q
             real = mr_sign(toy, toy_signer.x, toy_verifier.y, m, RecoveryNonces(k1, k2), STUB)
             assert sim == real
+
+
+def test_simulate_from_the_key_table_equals_the_builtin_formulas(wide, wide_tabled):
+    """With y_A's table answering, each simulated transcript is the one the builtin pow
+    gives: t = y_A**(w1**-1), u = y_A**(w1**-1 * w2), c = m * u**x_B."""
+    signer, verifier = wide_tabled
+    p, q, y = wide.p, wide.q, int(signer.y)
+    rng = random.Random(29)
+    m = encode_message(b"exact", wide)
+    for _ in range(40):
+        w1, w2 = rng.randrange(1, q), rng.randrange(q)
+        w1_inv = pow(w1, -1, q)
+        u = pow(y, w1_inv * w2, p)
+        r = hash_to_zq(m.value, u, wide, HashMode.PRODUCTION)
+        expected = RecoverySignature(t=pow(y, w1_inv, p), c=m.value * pow(u, verifier.x, p) % p,
+                                     r=r, s=(w1 * r - w2) % q)
+        assert mr_simulate(wide, signer.y, verifier.x, m, w1, w2) == expected
 
 
 @given(st.integers(min_value=0, max_value=2**32))

@@ -3,12 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dvsig import sdvs_saeednia
 from dvsig.errors import DegenerateHash, InvalidNonce, InvalidRandomness
 from dvsig.groupparams import GroupParams
 from dvsig.keys import keygen
-from dvsig.msghash import HashMode, encode_message, raw_message
+from dvsig.msghash import HashMode, encode_message, hash_to_zq, raw_message
 from dvsig.sdvs_saeednia import (
     SaeedniaNonces,
+    SaeedniaSignature,
     sds_sign,
     sds_sign_random,
     sds_simulate,
@@ -79,6 +81,56 @@ def test_verify_rejects_a_signer_key_outside_one_to_p(request, group):
     assert sds_verify(params, signer.y, verifier.x, m, sig, STUB)
     for key in (0, params.p, signer.y + params.p):
         assert not sds_verify(params, key, verifier.x, m, sig, STUB), key
+
+
+def textbook_c(params, signer_y, verifier_x, sig):
+    """(g**s * y_A**r)**(t * x_B) mod p with the builtin pow."""
+    p = params.p
+    return pow(pow(int(params.g), sig.s, p) * pow(int(signer_y), sig.r, p) % p, sig.t * verifier_x, p)
+
+
+@pytest.mark.parametrize("signer_is_a", [True, False])
+def test_verify_equals_the_textbook_predicate(toy, toy_signer, toy_verifier, signer_is_a):
+    """On toy23, for every (s, r, t) and every message, sds_verify accepts exactly when
+    r = H(m, (g**s * y_A**r)**(t * x_B))."""
+    signer, verifier = (toy_signer, toy_verifier) if signer_is_a else (toy_verifier, toy_signer)
+    q = toy.q
+    outcomes = set()
+    for value in range(1, toy.p):
+        m = raw_message(value, toy)
+        for s in range(q):
+            for r in range(q):
+                for t in range(1, q):
+                    sig = SaeedniaSignature(r, s, t)
+                    textbook = hash_to_zq(value, textbook_c(toy, signer.y, verifier.x, sig), toy, STUB) == r
+                    assert sds_verify(toy, signer.y, verifier.x, m, sig, STUB) == textbook, (value, sig)
+                    outcomes.add(textbook)
+    assert outcomes == {True, False}
+
+
+def test_verify_from_tables_hashes_the_textbook_c(wide, wide_tabled, monkeypatch):
+    """With the tables of g and y_A answering, sds_verify hashes the builtin pow's c,
+    for signatures that verify and for random triples that do not."""
+    signer, verifier = wide_tabled
+    q = wide.q
+    rng = random.Random(23)
+    m = encode_message(b"exact", wide)
+    hashed = []
+
+    def spy(value, c, params, mode):
+        hashed.append(c)
+        return hash_to_zq(value, c, params, mode)
+
+    monkeypatch.setattr(sdvs_saeednia, "hash_to_zq", spy)
+    for i in range(40):
+        if i % 2:
+            sig = sds_sign_random(wide, signer.x, verifier.y, m, rng)
+        else:
+            sig = SaeedniaSignature(rng.randrange(q), rng.randrange(q), rng.randrange(1, q))
+        c = textbook_c(wide, signer.y, verifier.x, sig)
+        hashed.clear()
+        assert sds_verify(wide, signer.y, verifier.x, m, sig) == (i % 2 == 1)
+        assert hashed == [c]
 
 
 def test_simulate_worked_vector(toy, toy_signer, toy_verifier):
