@@ -4,6 +4,11 @@ Generation picks the subgroup order q first (Miller-Rabin, 64 rounds),
 then searches p = 2*k*q + 1 until p is prime, and finally builds the
 generator as g = h**((p-1)/q) mod p for random h, retrying while g = 1.
 Generation is deterministic for a fixed seeded randomness source.
+From 1024 bits up, the Miller-Rabin rounds run on a pool of worker
+processes that lives only as long as the call; module primes explains
+how the search stays exactly the serial one, witness for witness.  It
+is imported only by the calls that need it, so a process that just
+loads a group compiles none of it.
 """
 
 from __future__ import annotations
@@ -11,11 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import GenerationTimeout
 from .modmath import FixedBase, mod_exp, sample_uniform
 
 _TRIAL_LIMIT = 4096
-_MR_ROUNDS = 64
 
 
 def _sieve(limit: int) -> list[int]:
@@ -68,12 +71,8 @@ TOY23 = GroupParams(p=23, q=11, g=4)
 PRESETS = {"toy23": TOY23}
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
-    """Trial division below _TRIAL_LIMIT**2 (exact), Miller-Rabin above.
-
-    Without an explicit rng the witness stream is derived from n, so
-    repeated validation of the same value is reproducible.
-    """
+def _trial_division(n: int) -> bool | None:
+    """Whether n is prime where trial division below _TRIAL_LIMIT decides it, else None."""
     if n < 2:
         return False
     for prime in _SMALL_PRIMES:
@@ -81,45 +80,21 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
             return True
         if n % prime == 0:
             return False
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
-        return True
-    if rng is None:
-        rng = random.Random(n)
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(_MR_ROUNDS):
-        a = 2 + sample_uniform(n - 3, False, rng)  # uniform witness in [2, n-2]
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return True if n < _TRIAL_LIMIT * _TRIAL_LIMIT else None
 
 
-class _Budget:
-    def __init__(self, attempts: int):
-        self.remaining = attempts
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Trial division below _TRIAL_LIMIT**2 (exact), Miller-Rabin above.
 
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise GenerationTimeout("no prime pair found within the attempt budget")
+    Without an explicit rng the witness stream is derived from n, so
+    repeated validation of the same value is reproducible.
+    """
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
+    from . import primes
 
-
-def _random_prime(bits: int, rng: random.Random, budget: _Budget) -> int:
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        budget.spend()
-        if is_probable_prime(candidate, rng=rng):
-            return candidate
+    return primes.miller_rabin(n, random.Random(n) if rng is None else rng)
 
 
 def generate_params(
@@ -133,24 +108,10 @@ def generate_params(
         raise ValueError("q_bits must be >= 4")
     if p_bits <= q_bits:
         raise ValueError("p_bits must exceed q_bits")
-    budget = _Budget(max_attempts)
-    while True:
-        q = _random_prime(q_bits, rng, budget)
-        two_q = 2 * q
-        k_min = ((1 << (p_bits - 1)) - 1) // two_q + 1
-        k_max = ((1 << p_bits) - 2) // two_q
-        if k_max < k_min:
-            continue
-        span = k_max - k_min + 1
-        k = k_min + (sample_uniform(span, False, rng) if span > 1 else 0)
-        for _ in range(span):
-            p = two_q * k + 1
-            budget.spend()
-            if is_probable_prime(p, rng=rng):
-                return GroupParams(p=p, q=q, g=_find_generator(p, q, rng))
-            k += 1
-            if k > k_max:
-                k = k_min
+    from . import primes
+
+    q, p = primes.prime_pair(q_bits, p_bits, rng, max_attempts)
+    return GroupParams(p=p, q=q, g=_find_generator(p, q, rng))
 
 
 def _find_generator(p: int, q: int, rng: random.Random) -> int:

@@ -7,7 +7,7 @@ invariant.  The randomness source is always passed explicitly.
 mod_exp and pow_in_subgroup share one private helper, _power.  A base
 that is a FixedBase, an int subclass, carries its own Lim-Lee comb
 (Lim & Lee, CRYPTO '94) and is powered from it; any other base, a
-modulus below 256 bits and a negative exponent take the builtin pow.
+modulus below 512 bits and a negative exponent take the builtin pow.
 The comb is built at the base's `after`-th power modulo a modulus of
 at least `min_modulus`, sized for the widest exponent among those
 powers, and is bound to the modulus of the power that built it: an
@@ -23,9 +23,8 @@ sds_verify and Lee-Chang's mr_simulate write their powers by the
 verifier's secret as powers of g and y_A, so they read these tables
 too.  Saeednia, Lee-Chang and PV signing and the three simulators take
 table powers only.  A PerCallBase builds a smaller comb (4 rows, 1
-block) at its first power modulo 512 bits or more; sdvs_mr._recover
-marks t and the UDVS e so for one call, as it raises each to q and then
-to s or x_B.  Marking a value already of the form returns it unchanged.
+block) at its first power; sdvs_mr._recover marks t and the UDVS e so
+for one call, as it raises each to q and then to s or x_B.  Marking a value already of the form returns it unchanged.
 A process that loads its group and keys once per invocation, as the CLI
 does, powers each of them a few times and builds no table.
 
@@ -53,8 +52,9 @@ from .errors import DegenerateHash, NonInvertible
 # Ranges of randomness components: Z_q = [0, q), Z_q* = [1, q).
 ZQ, ZQ_STAR = "Z_q", "Z_q*"
 
-# Below this modulus no form builds a comb; _power tests it first.
-_TABLE_MIN_MODULUS = 1 << (256 - 1)
+# Below this modulus no form builds a comb; _power tests it first.  No
+# preset, workload or CLI default uses a smaller group.
+_TABLE_MIN_MODULUS = 1 << (512 - 1)
 
 
 class _Comb:
@@ -132,8 +132,10 @@ class FixedBase(int):
     # hundreds of times.
     after = 16
     # Crossover, measured with scripts/modmath_layer.py: a build is repaid
-    # after about 6 table powers at 2048 bits, 22 at 256 bits and 40 at
-    # 160 bits; at 64 bits a table power is slower than the builtin pow.
+    # after about 6 table powers at 2048 bits, but only after 13 to 24 at
+    # 256 bits and 34 to 49 at 160 bits, near or past the 16th power that
+    # builds it; at 64 bits a table power is slower than the builtin pow.
+    # So neither form builds a comb below 512 bits.
     min_modulus = _TABLE_MIN_MODULUS
     # Until the build: no comb, and the count and widest exponent of the powers so far.
     comb, uses, width = None, 0, 0
@@ -165,14 +167,13 @@ class PerCallBase(FixedBase):
     At 2048/256 bits a build is 192 squarings and a power 64 squarings
     and at most 64 multiplications.  A build and two powers take 0.7 of
     the time of two builtin pows at 2048 bits, 0.9 at 512, 1.0 at 384 and
-    1.1 at 256 (timed as in scripts/modmath_layer.py), so below 512 bits
-    it builds nothing.  A build and one power take about 1.1 of one
-    builtin pow at 2048 bits.
+    1.1 at 256 (timed as in scripts/modmath_layer.py), so, like a
+    FixedBase, it builds nothing below 512 bits.  A build and one power
+    take about 1.1 of one builtin pow at 2048 bits.
     """
 
     rows, blocks = 4, 1
     after = 1
-    min_modulus = 1 << (512 - 1)
 
 
 def _power(base: int, exp: int, modulus: int) -> int:

@@ -338,11 +338,10 @@ def test_one_shot_cli_processes_build_no_table(big, big_signer, big_verifier, tm
     assert builds.count((PerCallBase.rows, PerCallBase.blocks)) == 4 * 5
 
 
-def test_threads_share_the_cache_safely(builds):
+def test_threads_share_the_cache_safely(wide, builds):
     """More threads than cores share five marked bases, each past its table build, and
     power one-off bases beside them; every power stays exact."""
-    params = generate_params(64, 256, random.Random(3))
-    p, q, g = params.p, params.q, params.g
+    p, q, g = wide.p, wide.q, wide.g
     shared = [FixedBase(pow(g, i, p)) for i in range(1, 6)]
     wrong, finished = [], []
 
@@ -416,20 +415,34 @@ def test_marked_power_equals_builtin(big, name, builds):
 
 @pytest.mark.parametrize("group", ["toy", "midsize", "256 bits"])
 def test_small_moduli_mark_nothing(request, group, builds):
-    """Below 256 bits nothing is built, and from there up to 512 bits a FixedBase may
-    build a table but a PerCallBase, whose comb would lose to the builtin pow, does not."""
+    """Below 512 bits neither form builds a comb, not even a FixedBase powered past its
+    `after`: at 256 bits neither comb clearly beats the builtin pow."""
     if group == "256 bits":
         params = generate_params(64, 256, random.Random(3))
-        assert FixedBase.min_modulus <= params.p < PerCallBase.min_modulus
+        assert params.p.bit_length() == 256 and params.p < FixedBase.min_modulus
     else:
         params = request.getfixturevalue(group)
     p, q = params.p, params.q
-    bases = [PerCallBase(int(params.g)), PerCallBase(p - 1)]
+    bases = [PerCallBase(int(params.g)), PerCallBase(p - 1), FixedBase(int(params.g))]
     for base in bases:
-        for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
-            assert pow_in_subgroup(base, k, p, q) == pow(int(base), k % q, p)
-            assert mod_exp(base, abs(k), p) == pow(int(base), abs(k), p)
+        for _ in range(FixedBase.after):
+            for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
+                assert pow_in_subgroup(base, k, p, q) == pow(int(base), k % q, p)
+                assert mod_exp(base, abs(k), p) == pow(int(base), abs(k), p)
     assert all(base.comb is None for base in bases) and not builds
+
+
+def test_both_forms_build_from_512_bits(wide, builds):
+    """At the 512-bit threshold a PerCallBase builds at its first power, a FixedBase at its
+    `after`-th."""
+    p, q = wide.p, wide.q
+    assert p.bit_length() == 512 and p >= FixedBase.min_modulus == PerCallBase.min_modulus
+    per_call, fixed = PerCallBase(int(wide.g)), FixedBase(int(wide.g))
+    assert mod_exp(per_call, q - 1, p) == pow(int(wide.g), q - 1, p)
+    assert builds == [(PerCallBase.rows, PerCallBase.blocks)]
+    for _ in range(FixedBase.after):
+        assert mod_exp(fixed, q - 1, p) == pow(int(wide.g), q - 1, p)
+    assert builds[1:] == [(FixedBase.rows, FixedBase.blocks)]
 
 
 def test_two_psv_calls_on_one_signature_build_two_per_call_combs(big, big_signer, builds):
