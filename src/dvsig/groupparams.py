@@ -15,22 +15,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from math import isqrt
 
 from .modmath import FixedBase, mod_exp, sample_uniform
 
 _TRIAL_LIMIT = 4096
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int):
+    """The primes below limit (at least 3) in increasing order, lazily."""
     flags = bytearray([1]) * limit
-    flags[0] = flags[1] = 0
-    for n in range(2, int(limit**0.5) + 1):
+    for n in range(3, isqrt(limit - 1) + 1, 2):
         if flags[n]:
-            flags[n * n :: n] = bytes(len(flags[n * n :: n]))
-    return [n for n in range(limit) if flags[n]]
+            flags[n * n :: 2 * n] = bytes(len(range(n * n, limit, 2 * n)))
+    return chain([2], compress(range(3, limit, 2), flags[3::2]))
 
 
-_SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
+_SMALL_PRIMES = list(_sieve(_TRIAL_LIMIT))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
+import errno
+import hashlib
 import os
 import random
 import subprocess
 import sys
 from contextlib import contextmanager
 from functools import partial
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dvsig import groupparams, primes
 from dvsig.errors import GenerationTimeout
@@ -19,6 +23,7 @@ from dvsig.groupparams import (
     validate_params,
 )
 from dvsig.modmath import mod_exp, sample_uniform
+from dvsig.mrround import passes
 
 
 def naive_is_prime(n):
@@ -257,3 +262,158 @@ def test_importing_the_package_and_its_cli_loads_no_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode() == "[]\n"
+
+
+def test_a_worker_that_fails_to_start_leaves_no_other(pool_at, monkeypatch):
+    real, calls = subprocess.Popen, []
+
+    def popen(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "no process for the second worker")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    before = child_processes()
+    pool_at(2)
+    with pytest.raises(OSError):
+        generate_params(16, 64, random.Random(0))
+    assert len(calls) == 2
+    assert child_processes() == before
+
+
+def test_a_pool_worker_imports_no_dvsig_module(pool_at, monkeypatch):
+    real, started = subprocess.Popen, []
+
+    def traced(*args, **kwargs):
+        env = {**os.environ, "PYTHONPROFILEIMPORTTIME": "1"}
+        started.append(real(*args, env=env, stderr=subprocess.PIPE, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", traced)
+    pool_at(2)
+    generate_params(16, 64, random.Random(0))
+    assert len(started) == 2
+    for proc in started:
+        with proc.stderr:
+            imports = proc.stderr.read().decode()
+        assert "import time:" in imports
+        assert "dvsig" not in imports
+
+
+@pytest.mark.parametrize("fail_round", [1, 2, 64, None])
+def test_validation_rewinds_rng_to_the_serial_state(monkeypatch, fail_round):
+    """Validation draws all its witnesses before its rounds run; None: every round of a real
+    prime passes, with the real rounds."""
+    n = 2**127 - 1
+    serial_rng = random.Random(9)
+    expected, failing = serial_first_prime([n], serial_rng, {n: fail_round})
+    if fail_round is not None:
+        monkeypatch.setattr(primes, "passes", lambda task: task not in failing)
+    rng = random.Random(9)
+    assert primes.miller_rabin(n, rng) is (expected is not None)
+    assert rng.getstate() == serial_rng.getstate()
+
+
+# ------------------------------------------------ first rounds settled modulo a sieved factor
+
+SIEVED = [f for f in groupparams._sieve(primes._SIEVE_LIMIT) if f > groupparams._TRIAL_LIMIT]
+ODD_PRIMES = list(groupparams._sieve(primes._SIEVE_LIMIT))[1:]
+
+
+def odd_part(n):
+    return (n - 1) >> (((n - 1) & (1 - n)).bit_length() - 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SIEVED), st.sampled_from(ODD_PRIMES), st.integers(0, 2**64),
+       st.sampled_from(["random", "0", "+1", "-1", "1 + j*f", "liar"]))
+def test_a_round_is_settled_modulo_a_factor_only_where_it_fails_modulo_n(f, m, j, kind):
+    n = f * m
+    b = 2 + j % (n - 3)
+    order = f * (f - 1) if m == f else lcm(f - 1, m - 1)  # of the unit group modulo n
+    # a liar: a**d = 1 modulo n for every b prime to n
+    liar = pow(b, order // gcd(odd_part(n), order), n)
+    a = {"random": b, "0": j * f % n, "+1": (1 + j * f) % n, "-1": (j * f - 1) % n,
+         "1 + j*f": 1 + j * f, "liar": liar}[kind]
+    settled = primes._settled((n, a), f)
+    if settled:
+        assert not passes((n, a))
+    if a % f in (1, f - 1):
+        assert not settled
+    if a % f == 0:
+        assert settled
+    if kind == "liar" and gcd(b, n) == 1:
+        assert passes((n, a)) and not settled
+    assert not primes._settled((n, a), 0)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_settled_candidates_take_no_place_in_a_batch(batch):
+    rng = random.Random(13)
+    candidates, factors = [], {}
+    while len(candidates) < 12:
+        f, m = rng.choice(SIEVED), rng.choice(SIEVED)
+        candidates.append(f * m)
+        if len(candidates) % 3:
+            factors[f * m] = min(f, m)
+    sizes = []
+
+    def rounds(tasks):
+        sizes.append(len(tasks))
+        return [False] * len(tasks)
+
+    serial_rng = random.Random(5)
+    for n in candidates:
+        primes._witness(serial_rng, n)
+    rng = random.Random(5)
+    assert primes._first_prime(candidates, rng, rounds, batch, dict(factors)) is None
+    assert rng.getstate() == serial_rng.getstate()
+    assert 0 < sum(sizes) < len(candidates)  # some first rounds were settled here
+    assert sizes[:-1] == [batch] * (len(sizes) - 1)
+
+
+def test_sieved_candidates_keep_the_serial_search(pool_at, monkeypatch):
+    """With the crossover lowered, candidates for p are sieved and some first rounds settled
+    here; groups, rng states and the timeout attempts stay those of the serial search."""
+    cases = [(16, 64, seed) for seed in range(3)] + [(16, 64, 2, attempts) for attempts in range(1, 15)]
+    serial = [generated(*case) for case in cases]
+    settled, real = [], primes._settled
+
+    def counted(task, factor):
+        settled.append(real(task, factor))
+        return settled[-1]
+
+    monkeypatch.setattr(primes, "_settled", counted)
+    pool_at(2)
+    assert [generated(*case) for case in cases] == serial
+    assert any(settled)
+
+
+def digest(*values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+# Digests of (p, q, g, the rng state afterwards), recorded before candidates were sieved.
+@pytest.mark.parametrize("seed, expected", [
+    (0x5EED2026, "106250bb2abc1ace58f6fb1c6afeb40406c6e5cf8d54765f6c228ad6276b36c6"),
+    # 344 composite candidates survive trial division before p
+    ("dvsig-bench/3/setup/2", "055b881b24a6a26fc499d5185aac92fcdacbcb53469a5f53b4971a871dc5e0ea"),
+])
+def test_full_size_generation_matches_its_pinned_digest(seed, expected):
+    rng = random.Random(seed)
+    params = generate_params(256, 2048, rng)
+    assert digest(params.p, params.q, int(params.g), rng.getstate()) == expected
+
+
+def test_small_generation_matches_its_pinned_digest():
+    """Half the 4/8-bit searches run past k_max and wrap round to k_min."""
+    results = []
+    for q_bits, p_bits, seeds in ((4, 8, range(40)), (5, 12, range(20)), (8, 24, range(4)),
+                                  (16, 64, range(3)), (32, 128, range(3))):
+        for seed in seeds:
+            result, state = generated(q_bits, p_bits, seed, 60)
+            if isinstance(result, GroupParams):
+                result = (result.p, result.q, int(result.g))
+            results.append((q_bits, p_bits, seed, result, state))
+    assert digest(*results) == "ed6b75fea5379a392c0a644e8e0c6868d5b070b7d4c4731d991d9ca0f5522f0b"
