@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from . import oracle as oraclemod
-from .errors import (DVSError, DegenerateHash, GenerationTimeout, GroupTooLarge, InvalidPVSignature,
-                     InvalidSignature, Malformed)
+from .errors import (DVSError, DegenerateHash, GenerationTimeout, GroupTooLarge, InvalidSignature,
+                     Malformed)
 from .groupparams import PRESETS, GroupParams, _shape_failures, generate_params, validate_params
 from .keys import PublicKey, SecretKey, keygen
 from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
@@ -199,11 +199,7 @@ def cmd_open(args) -> int:
         print("ACCEPT")
         _print_recovered(recovered_message(expected.value, params), args.raw)
         return EXIT_OK
-    try:
-        recovered = scheme.open(params, signer, verifier, message, sig, mode)
-    except InvalidSignature:
-        print("REJECT")
-        return EXIT_REJECT
+    recovered = scheme.open(params, signer, verifier, message, sig, mode)
     if expected is not None:  # valid, but for another message
         print("REJECT")
         _print_recovered(recovered, args.raw)
@@ -222,12 +218,7 @@ def cmd_designate(args) -> int:
     verifier_public = _load(args.verifier_key, PublicKey, "--verifier-key").y
     pv_sig = _load(args.in_path, PVSignature, "--in")
     d = sample_uniform(params.q, False, rng)
-    try:
-        dv_sig = dsg(params, signer_public, verifier_public, pv_sig, d, mode)
-    except InvalidPVSignature:
-        print("REJECT")
-        return EXIT_REJECT
-    _write_value(args.out, dv_sig)
+    _write_value(args.out, dsg(params, signer_public, verifier_public, pv_sig, d, mode))
     return EXIT_OK
 
 
@@ -372,6 +363,9 @@ def run(argv=None) -> int:
     try:
         _one_dash_each_way(args)
         return args.handler(args)
+    except InvalidSignature:  # a signature that does not open, or a PV one refused for designation
+        print("REJECT")
+        return EXIT_REJECT
     except (UsageError, GroupTooLarge, DegenerateHash, GenerationTimeout, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

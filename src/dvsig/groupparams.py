@@ -85,18 +85,18 @@ def _trial_division(n: int) -> bool | None:
     return True if n < _TRIAL_LIMIT * _TRIAL_LIMIT else None
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Trial division below _TRIAL_LIMIT**2 (exact), Miller-Rabin above.
 
-    Without an explicit rng the witness stream is derived from n, so
-    repeated validation of the same value is reproducible.
+    The witness stream is derived from n, so repeated validation of the
+    same value is reproducible.
     """
     verdict = _trial_division(n)
     if verdict is not None:
         return verdict
     from . import primes
 
-    return primes.miller_rabin(n, random.Random(n) if rng is None else rng)
+    return primes.miller_rabin(n, random.Random(n))
 
 
 def generate_params(

@@ -8,11 +8,11 @@ mod_exp and pow_in_subgroup share one private helper, _power.  A base
 that is a FixedBase, an int subclass, carries its own Lim-Lee comb
 (Lim & Lee, CRYPTO '94) and is powered from it; any other base, a
 modulus below 512 bits and a negative exponent take the builtin pow.
-The comb is built at the base's `after`-th power modulo a modulus of
-at least `min_modulus`, sized for the widest exponent among those
-powers, and is bound to the modulus of the power that built it: an
-exponent wider than the comb, or a power modulo another modulus, takes
-the builtin pow.  Either way the result is exactly pow(base, exp,
+The comb is built at the base's `after`-th power modulo a modulus of at
+least 512 bits (_TABLE_MIN_MODULUS), sized for the widest exponent
+among those powers, and is bound to the modulus of the power that built
+it: an exponent wider than the comb, or a power modulo another modulus,
+takes the builtin pow.  Either way the result is exactly pow(base, exp,
 modulus).  The comb lives and dies with the residue that owns it.
 
 There are two forms.  A FixedBase is long-lived: GroupParams.g,
@@ -53,7 +53,12 @@ from .errors import DegenerateHash, NonInvertible
 ZQ, ZQ_STAR = "Z_q", "Z_q*"
 
 # Below this modulus no form builds a comb; _power tests it first.  No
-# preset, workload or CLI default uses a smaller group.
+# preset, workload or CLI default uses a smaller group.  Crossover,
+# measured with scripts/modmath_layer.py: a FixedBase build is repaid
+# after about 6 table powers at 2048 bits, but only after 13 to 24 at
+# 256 bits and 34 to 49 at 160 bits, near or past the 16th power that
+# builds it; at 64 bits a table power is slower than the builtin pow.
+# So neither form builds a comb below 512 bits.
 _TABLE_MIN_MODULUS = 1 << (512 - 1)
 
 
@@ -117,7 +122,8 @@ class FixedBase(int):
 
     Constructing one from a value of the same class returns that value,
     so its comb is shared.  The comb is built at the `after`-th power
-    modulo a modulus of at least min_modulus and is bound to that modulus.
+    and is bound to the modulus of that power; _power asks for it only
+    modulo _TABLE_MIN_MODULUS or more.
     """
 
     # Comb shape: an index combines `rows` exponent bits, and the table
@@ -131,12 +137,6 @@ class FixedBase(int):
     # invocation powers g and each key a few times, a long-lived signer
     # hundreds of times.
     after = 16
-    # Crossover, measured with scripts/modmath_layer.py: a build is repaid
-    # after about 6 table powers at 2048 bits, but only after 13 to 24 at
-    # 256 bits and 34 to 49 at 160 bits, near or past the 16th power that
-    # builds it; at 64 bits a table power is slower than the builtin pow.
-    # So neither form builds a comb below 512 bits.
-    min_modulus = _TABLE_MIN_MODULUS
     # Until the build: no comb, and the count and widest exponent of the powers so far.
     comb, uses, width = None, 0, 0
 
@@ -146,13 +146,11 @@ class FixedBase(int):
     def comb_for(self, exp: int, modulus: int) -> _Comb | None:
         """The comb that raises self to exp modulo modulus, or None.
 
-        None until the `after`-th power modulo at least min_modulus builds
-        it, and None for a modulus other than the one it was built for.
+        None until the `after`-th power builds it, and None for a modulus
+        other than the one it was built for.
         """
         comb = self.comb
         if comb is None:
-            if modulus < self.min_modulus:
-                return None
             self.uses += 1
             self.width = max(self.width, exp.bit_length())
             if self.uses < self.after:

@@ -39,7 +39,7 @@ order-q subgroup that is the textbook u**x_B.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidNonce, InvalidRandomness, InvalidSignature
 from .groupparams import GroupParams
@@ -95,33 +95,34 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
     In order: r and s must lie in [0, q), each named unit field in
     [1, p), t in the order-q subgroup without 1, e (where named) in that
     subgroup and y_A in [1, p).  Then g**-k2 = t**s * y_A**-r opens the
-    signature, value(g**-k2, sig) unblinds the message, and r = H(m, g**k2)
-    accepts it, as msghash.recovered_message(m): a bare residue is no error.
-    The sig that value gets holds t and e as PerCallBase, so e**x_B reads
-    the comb that e**q built, and x_B reaches e only after e**q = 1 has passed.
+    signature, value(g**-k2, e) unblinds the message (e is None unless
+    named), and r = H(m, g**k2) accepts it, as msghash.recovered_message(m):
+    a bare residue is no error.  t and e are held here as PerCallBase, so
+    e**x_B reads the comb that e**q built, and x_B reaches e only after
+    e**q = 1 has passed.
     """
     p, q = params.p, params.q
-    twice = ("t", "e") if "e" in units else ("t",)  # raised to q, then to s or x_B
-    sig = replace(sig, **{name: PerCallBase(getattr(sig, name)) for name in twice})
+    # Each is raised to q, then to s or x_B.
+    t, e = PerCallBase(sig.t), PerCallBase(sig.e) if "e" in units else None
     if not (0 <= sig.r < q and 0 <= sig.s < q):
         raise InvalidSignature("r or s outside [0, q)")
     for name in units:
         if not 1 <= getattr(sig, name) < p:
             raise InvalidSignature(f"{name} outside [1, p)")
-    if sig.t <= 1 or sig.t >= p or mod_exp(sig.t, q, p) != 1:
+    if t <= 1 or t >= p or mod_exp(t, q, p) != 1:
         raise InvalidSignature("t is not a nontrivial order-q subgroup element")
-    if "e" in units and mod_exp(sig.e, q, p) != 1:
+    if e is not None and mod_exp(e, q, p) != 1:
         raise InvalidSignature("e is not an order-q subgroup element")
     # Outside [1, p) y_A**r can be 0, which has no inverse.
     if not 1 <= signer_public < p:
         raise InvalidSignature("signer public key outside [1, p)")
     y_r = pow_in_subgroup(signer_public, sig.r, p, q)
-    t_s = pow_in_subgroup(sig.t, sig.s, p, q)
+    t_s = pow_in_subgroup(t, sig.s, p, q)
     # Montgomery's trick: one inverse of t**s * y_A**r gives g**-k2 = t**s * y_A**-r
     # and g**k2 = y_A**r * t**-s.  Neither factor is 0, as t and y_A lie in [1, p).
     inverse = mod_inv(t_s * y_r % p, p)
     unblind = t_s * t_s % p * inverse % p
-    m = value(unblind, sig)
+    m = value(unblind, e)
     if hash_to_zq(m, y_r * y_r % p * inverse % p, params, mode) != sig.r:
         raise InvalidSignature("hash check failed")
     return recovered_message(m, params)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from dvsig import modmath
 from dvsig.groupparams import TOY23, generate_params
 from dvsig.keys import KeyPair, keygen
-from dvsig.modmath import FixedBase, PerCallBase, mod_exp
+from dvsig.modmath import FixedBase, mod_exp
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +50,7 @@ def big_verifier(big):
 def wide():
     """A group whose modulus reaches modmath's tables and per-call combs (512 bits)."""
     params = generate_params(64, 512, random.Random(3))
-    assert params.p >= PerCallBase.min_modulus
+    assert params.p >= modmath._TABLE_MIN_MODULUS
     return params
 
 

@@ -228,7 +228,7 @@ def test_a_round_failing_after_the_first_rewinds_rng_to_the_serial_state(batch):
         expected, failing = serial_first_prime(candidates, serial_rng, fail_round)
         rounds = partial(map, lambda task: task not in failing)
         rng = random.Random(5)
-        assert primes._first_prime(candidates, rng, rounds, batch) == expected
+        assert primes._first_prime([(n, 0) for n in candidates], rng, rounds, batch) == expected
         assert rng.getstate() == serial_rng.getstate()
 
 
@@ -241,6 +241,31 @@ def test_no_worker_outlives_a_call(pool_at):
         generate_params(16, 64, random.Random(2), max_attempts=13)
     assert child_processes() == before
     assert opened == [2, 2]
+
+
+def test_an_abandoned_map_leaves_the_pool_ready():
+    """A map stopped after its first outcome has written at most one task to each worker and
+    left no answer unread, so the next map on the same pool gets exactly its own outcomes."""
+    prime, composite = 2**127 - 1, (2**61 - 1) * (2**89 - 1)
+    first_map = [(composite, a) for a in range(2, 8)]
+    assert not passes(first_map[0])
+    second_map = [(prime, 2), (prime, 3), (composite, 2), (prime, 5), (composite, 3), (prime, 7)]
+    taken = []
+
+    def tasks():
+        for task in first_map:
+            taken.append(task)
+            yield task
+
+    before = child_processes()
+    pool = primes._Pool(2)
+    try:
+        assert next(pool.rounds(tasks())) is False
+        assert len(taken) <= 2
+        assert list(pool.rounds(second_map)) == [passes(task) for task in second_map]
+    finally:
+        pool.close()
+    assert child_processes() == before
 
 
 def test_a_refused_full_size_modulus_leaves_no_worker(big):
@@ -367,7 +392,7 @@ def test_settled_candidates_take_no_place_in_a_batch(batch):
     for n in candidates:
         primes._witness(serial_rng, n)
     rng = random.Random(5)
-    assert primes._first_prime(candidates, rng, rounds, batch, dict(factors)) is None
+    assert primes._first_prime([(n, factors.get(n, 0)) for n in candidates], rng, rounds, batch) is None
     assert rng.getstate() == serial_rng.getstate()
     assert 0 < sum(sizes) < len(candidates)  # some first rounds were settled here
     assert sizes[:-1] == [batch] * (len(sizes) - 1)

@@ -419,7 +419,7 @@ def test_small_moduli_mark_nothing(request, group, builds):
     `after`: at 256 bits neither comb clearly beats the builtin pow."""
     if group == "256 bits":
         params = generate_params(64, 256, random.Random(3))
-        assert params.p.bit_length() == 256 and params.p < FixedBase.min_modulus
+        assert params.p.bit_length() == 256 and params.p < modmath._TABLE_MIN_MODULUS
     else:
         params = request.getfixturevalue(group)
     p, q = params.p, params.q
@@ -436,7 +436,7 @@ def test_both_forms_build_from_512_bits(wide, builds):
     """At the 512-bit threshold a PerCallBase builds at its first power, a FixedBase at its
     `after`-th."""
     p, q = wide.p, wide.q
-    assert p.bit_length() == 512 and p >= FixedBase.min_modulus == PerCallBase.min_modulus
+    assert p.bit_length() == 512 and p >= modmath._TABLE_MIN_MODULUS
     per_call, fixed = PerCallBase(int(wide.g)), FixedBase(int(wide.g))
     assert mod_exp(per_call, q - 1, p) == pow(int(wide.g), q - 1, p)
     assert builds == [(PerCallBase.rows, PerCallBase.blocks)]
