@@ -196,18 +196,14 @@ def cmd_open(args) -> int:
     # Only `verify` takes an expectation, and PV is the one recovering scheme it offers.
     expected = _message(args, params, "expect_message", "expect_residue")
     if expected is not None and psv_matches(params, signer.y, sig, expected, mode):
-        print("ACCEPT")
-        _print_recovered(recovered_message(expected.value, params), args.raw)
-        return EXIT_OK
-    recovered = scheme.open(params, signer, verifier, message, sig, mode)
-    if expected is not None:  # valid, but for another message
-        print("REJECT")
-        _print_recovered(recovered, args.raw)
-        return EXIT_REJECT
-    print("ACCEPT")
+        accepted, recovered = True, recovered_message(expected.value, params)
+    else:
+        recovered = scheme.open(params, signer, verifier, message, sig, mode)
+        accepted = expected is None  # with an expectation: valid, but for another message
+    print("ACCEPT" if accepted else "REJECT")
     if scheme.recovers:
         _print_recovered(recovered, args.raw)
-    return EXIT_OK
+    return EXIT_OK if accepted else EXIT_REJECT
 
 
 def cmd_designate(args) -> int:

@@ -8,14 +8,18 @@ throughout so every collision is counted, not approximated.
 
 Also measures two floors on the same toy groups:
 
-* forgery: uniformly random signature tuples are accepted at no more
-  than a small multiple of 1/q (the hash equation filters them);
+* forgery: uniformly random signature tuples (each field over its own
+  range: t and UDVS's e in <g>, c and w in Z_p*, r and s in Z_q or Z_q*)
+  are accepted at no more than a small multiple of 1/q (the hash
+  equation filters them);
 * confidentiality: recovery under a wrong verifier secret returns the
   true message only when the blinding exponent was zero, and the hash
   check passes at most at the same 1/q-scale rate.
 
 SCHEMES states once what sets the four schemes apart; the enumeration,
-the forgery floor, the wrong-key census and the CLI all read it.
+the forgery floor, the wrong-key census and the CLI all read it.  One
+walk over a signer or simulator space, _signatures, yields the
+signatures that both multisets and the wrong-key census read.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ SCHEMES = {
         sign=lambda params, a, b, m, rand, mode: dsg(
             params, a.y, b.y, _pv_signed(params, a.x, m, *rand[:2], mode), rand[2], mode),
         open=lambda params, a, b, m, sig, mode: dsv_recover(params, a.y, b.x, sig, mode),
-        forgery=(SUBGROUP, UNIT, ZQ, ZQ, UNIT), sim_space=(ZQ_STAR, ZQ, ZQ),
+        forgery=(SUBGROUP, UNIT, ZQ, ZQ, SUBGROUP), sim_space=(ZQ_STAR, ZQ, ZQ),
         simulate=lambda params, a, b, m, rand, mode: dv_simulate(
             params, a.y, b.x, m, SimulatorRandomness(*rand), mode),
         designated_later=True,
@@ -160,11 +164,6 @@ class DiffReport:
     lines: list[str] = field(default_factory=list)
 
 
-def _guard(params: GroupParams) -> None:
-    if params.q > MAX_ENUM_ORDER:
-        raise GroupTooLarge(f"q = {params.q} exceeds the enumeration guard ({MAX_ENUM_ORDER})")
-
-
 def _scheme(name: str) -> Scheme:
     try:
         return SCHEMES[name]
@@ -172,20 +171,22 @@ def _scheme(name: str) -> Scheme:
         raise ValueError(f"unknown scheme: {name}") from None
 
 
-def _support(params: GroupParams, space):
-    """Every randomness in space, in draw order with the last component fastest."""
-    return product(*(range(1 if kind == ZQ_STAR else 0, params.q) for kind in space))
-
-
-def _enumerate(params: GroupParams, scheme: str, space, make) -> SignatureMultiset:
-    """make(randomness) for every randomness in space, skipping degenerate hashes."""
-    out = SignatureMultiset(scheme)
-    for randomness in _support(params, space):
+def _signatures(params: GroupParams, signer, verifier, m: Message, scheme: str, simulated=False):
+    """(randomness, signature) for each signer (or simulator) randomness, in draw order with
+    the last component fastest, under the stub hash; degenerate hashes are skipped.  Lazy:
+    its errors come at the first next(), before any signature is made.
+    """
+    if params.q > MAX_ENUM_ORDER:
+        raise GroupTooLarge(f"q = {params.q} exceeds the enumeration guard ({MAX_ENUM_ORDER})")
+    entry = _scheme(scheme)
+    make, space = (entry.simulate, entry.sim_space) if simulated else (entry.sign, entry.sign_space)
+    if make is None:
+        raise ValueError(f"scheme has no transcript simulator: {scheme}")
+    for randomness in product(*(range(1 if kind == ZQ_STAR else 0, params.q) for kind in space)):
         try:
-            out.add(make(randomness))
+            yield randomness, make(params, signer, verifier, m, randomness, HashMode.STUB)
         except DegenerateHash:
             continue
-    return out
 
 
 def enumerate_real(
@@ -201,10 +202,10 @@ def enumerate_real(
     refuses them (the simulator cannot reach them), so the real-side
     support is restricted to r != 0 by construction.
     """
-    _guard(params)
-    entry = _scheme(scheme)
-    return _enumerate(params, scheme, entry.sign_space, lambda rand: entry.sign(
-        params, signer, verifier, m, rand, HashMode.STUB))
+    out = SignatureMultiset(scheme)
+    for _, sig in _signatures(params, signer, verifier, m, scheme):
+        out.add(sig)
+    return out
 
 
 def enumerate_simulated(
@@ -215,29 +216,20 @@ def enumerate_simulated(
     scheme: str,
 ) -> SignatureMultiset:
     """Signatures over every legal simulator randomness, under the stub hash."""
-    _guard(params)
-    entry = _scheme(scheme)
-    if entry.simulate is None:
-        raise ValueError(f"scheme has no transcript simulator: {scheme}")
-    return _enumerate(params, scheme, entry.sim_space, lambda rand: entry.simulate(
-        params, signer, verifier, m, rand, HashMode.STUB))
+    out = SignatureMultiset(scheme)
+    for _, sig in _signatures(params, signer, verifier, m, scheme, simulated=True):
+        out.add(sig)
+    return out
 
 
 def check_indistinguishable(a: SignatureMultiset, b: SignatureMultiset) -> DiffReport:
     """Exact multiset equality, with the first 10 differing tuples on mismatch."""
     if a.scheme != b.scheme:
         raise SchemeMismatch(f"cannot compare {a.scheme} against {b.scheme}")
-    only_a = a.counts - b.counts
-    only_b = b.counts - a.counts
-    if not only_a and not only_b:
-        return DiffReport(equal=True)
-    lines = []
-    for label, extra in (("first", only_a), ("second", only_b)):
-        for sig_tuple in sorted(extra):
-            if len(lines) >= 10:
-                return DiffReport(equal=False, lines=lines)
-            lines.append(f"only in {label} multiset: {sig_tuple} x{extra[sig_tuple]}")
-    return DiffReport(equal=False, lines=lines)
+    lines = [f"only in {label} multiset: {sig_tuple} x{extra[sig_tuple]}"
+             for label, extra in (("first", a.counts - b.counts), ("second", b.counts - a.counts))
+             for sig_tuple in sorted(extra)]
+    return DiffReport(equal=not lines, lines=lines[:10])
 
 
 def random_forgery(params: GroupParams, scheme: str, rng: random.Random):
@@ -297,9 +289,9 @@ def wrong_key_recovery_census(
     """Run recovery under every wrong secret x != x_B for every signature.
 
     The recovery algebra is recomputed here from the raw components, so
-    the census does not depend on the scheme modules' own accept path.
+    the census does not depend on the scheme modules' own accept path,
+    and it counts true-message hits whose hash fails: no opener returns those.
     """
-    _guard(params)
     p, q = params.p, params.q
     # The value recovered under secret x from opened = t**s * y_A**-r = g**-k2.
     recover = {
@@ -309,16 +301,15 @@ def wrong_key_recovery_census(
     if recover is None:
         raise ValueError(f"confidentiality census applies to recovery schemes, not {scheme}")
     census = RecoveryCensus(scheme)
-    wrong_keys = [x for x in range(1, q) if x != verifier.x]
-    stub = HashMode.STUB
-    for randomness in _support(params, SCHEMES[scheme].sign_space):
-        sig = SCHEMES[scheme].sign(params, signer, verifier, m, randomness, stub)
+    for randomness, sig in _signatures(params, signer, verifier, m, scheme):
         opened = pow_in_subgroup(sig.t, sig.s, p, q) * pow_in_subgroup(signer.y, -sig.r, p, q) % p
         check = mod_inv(opened, p)
-        for x in wrong_keys:
+        for x in range(1, q):  # inside the walk, so its guard has bounded q
+            if x == verifier.x:
+                continue
             value = recover(sig, opened, x)
             census.cases += 1
             census.true_message += value == m.value
-            census.hash_accepted += hash_to_zq(value, check, params, stub) == sig.r
+            census.hash_accepted += hash_to_zq(value, check, params, HashMode.STUB) == sig.r
             census.unblinded += randomness[-1] == 0
     return census

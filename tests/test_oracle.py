@@ -55,6 +55,8 @@ def test_enumeration_guard(big, big_signer, big_verifier):
         enumerate_real(big, big_signer, big_verifier, m, SCHEME_LEECHANG)
     with pytest.raises(GroupTooLarge):
         enumerate_simulated(big, big_signer, big_verifier, m, SCHEME_LEECHANG)
+    with pytest.raises(GroupTooLarge):
+        wrong_key_recovery_census(big, big_signer, big_verifier, m, SCHEME_LEECHANG)
 
 
 @pytest.mark.parametrize("scheme", SIMULATABLE_SCHEMES)

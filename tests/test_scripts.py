@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
     "toy_walkthrough.py": "135637ddb7f96da815b8246142c814ae2ff844707dc0e00a8c6ba02256f73c46",
-    "distribution_audit.py": "0a57bf05e9323ee6a2d7db8cc0a66f4b2e43d4bf9d41d91f4c7527e8c0032b48",
+    "distribution_audit.py": "c400cb2115313e5218ee03f37ff76d16d662b40075244947ec310e2bb3fb3870",
 }
 
 
