@@ -6,6 +6,8 @@ once.  File arguments accept "-" for raw blobs on stdin/stdout, at most
 one "-" each way; named files are written armored.  Commands that load
 --params refuse (exit 3) a group failing q >= 2, q | p - 1 or 1 < g < p,
 the checks that need no exponentiation; `params check` runs them all.
+Every --signer-key and --verifier-key is refused (exit 3) unless its key
+is an order-q element in (1, p) (keys.validate_public).
 
 Exit codes: 0 success/accept, 1 verification reject, 2 usage error,
 3 malformed input.
@@ -22,7 +24,7 @@ from . import oracle as oraclemod
 from .errors import (DVSError, DegenerateHash, GenerationTimeout, GroupTooLarge, InvalidSignature,
                      Malformed)
 from .groupparams import PRESETS, GroupParams, _shape_failures, generate_params, validate_params
-from .keys import PublicKey, SecretKey, keygen
+from .keys import PublicKey, SecretKey, keygen, validate_public
 from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
 from .pv_scheme import PVSignature, psv_matches
 from .udvs import dsg
@@ -74,6 +76,16 @@ def _load_params(args) -> GroupParams:
     if failures:
         raise Malformed(f"--params: {failures[0]}")
     return params
+
+
+def _load_public(path: str | None, params: GroupParams, flag: str) -> PublicKey:
+    """The public key in path, malformed unless it is an order-q element in (1, p)."""
+    key = _load(path, PublicKey, flag)
+    try:
+        validate_public(params, key.y)
+    except Malformed as exc:
+        raise Malformed(f"{flag}: {exc}") from None
+    return key
 
 
 def _one_dash_each_way(args) -> None:
@@ -172,7 +184,7 @@ def cmd_sign(args) -> int:
     rng = _make_rng(args)
     message = _message(args, params, "message", "raw_residue")
     signer = _load(args.key, SecretKey, "--key")
-    verifier = _load(args.verifier_key, PublicKey, "--verifier-key") if scheme.designated else None
+    verifier = _load_public(args.verifier_key, params, "--verifier-key") if scheme.designated else None
     sig = sample_space(params.q, scheme.sign_space, rng, lambda randomness: scheme.sign(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
@@ -189,7 +201,7 @@ def cmd_open(args) -> int:
     _refuse(args, unusable + (() if scheme.designated else ("key",)), f"--scheme {args.scheme}")
     params = _load_params(args)
     mode = _hash_mode(args)
-    signer = _load(args.signer_key, PublicKey, "--signer-key")
+    signer = _load_public(args.signer_key, params, "--signer-key")
     verifier = _load(args.key, SecretKey, "--key") if scheme.designated else None
     message = None if scheme.recovers else _message(args, params, "message", "raw_residue")
     sig = _load(args.in_path, scheme.sig_type, "--in")
@@ -210,8 +222,8 @@ def cmd_designate(args) -> int:
     params = _load_params(args)
     mode = _hash_mode(args)
     rng = _make_rng(args)
-    signer_public = _load(args.signer_key, PublicKey, "--signer-key").y
-    verifier_public = _load(args.verifier_key, PublicKey, "--verifier-key").y
+    signer_public = _load_public(args.signer_key, params, "--signer-key").y
+    verifier_public = _load_public(args.verifier_key, params, "--verifier-key").y
     pv_sig = _load(args.in_path, PVSignature, "--in")
     d = sample_uniform(params.q, False, rng)
     _write_value(args.out, dsg(params, signer_public, verifier_public, pv_sig, d, mode))
@@ -224,7 +236,7 @@ def cmd_simulate(args) -> int:
     mode = _hash_mode(args)
     rng = _make_rng(args)
     message = _message(args, params, "message", "raw_residue")
-    signer = _load(args.signer_key, PublicKey, "--signer-key")
+    signer = _load_public(args.signer_key, params, "--signer-key")
     verifier = _load(args.key, SecretKey, "--key")
     sig = sample_space(params.q, scheme.sim_space, rng, lambda randomness: scheme.simulate(
         params, signer, verifier, message, randomness, mode))

@@ -54,4 +54,4 @@ class SchemeMismatch(DVSError):
 
 
 class Malformed(DVSError):
-    """A wire blob or armored file does not parse."""
+    """A wire blob or armored file does not parse, or what it holds is no valid group or key."""

@@ -1,7 +1,9 @@
 """Key material: a secret exponent in Z_q* and its public group element.
 
 Secret keys are only ever serialized into their own secret-key blobs;
-signature and parameter blobs never carry them.
+signature and parameter blobs never carry them.  A public key from
+outside the process is checked once, where it enters, by
+validate_public: the CLI does so for every key file it reads.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import OutOfRange
+from .errors import Malformed, OutOfRange
 from .groupparams import GroupParams
 from .modmath import FixedBase, mod_exp, sample_uniform
 
@@ -50,6 +52,20 @@ def derive_public(params: GroupParams, x: int) -> int:
     if not 1 <= x < params.q:
         raise OutOfRange(f"secret exponent must lie in [1, {params.q - 1}]")
     return mod_exp(params.g, x, params.p)
+
+
+def validate_public(params: GroupParams, y: int) -> None:
+    """Raise Malformed unless y lies in (1, p) and y**q = 1: a nontrivial order-q element.
+
+    A key outside that subgroup would let its holder learn a verifier's
+    secret modulo the order of the key's small-order part, one guess per
+    signature.  At 2048/256 bits the power takes about 4 to 5 ms.
+    """
+    p = params.p
+    if not 1 < y < p:
+        raise Malformed("public key outside (1, p)")
+    if mod_exp(y, params.q, p) != 1:
+        raise Malformed("public key is not an order-q subgroup element")
 
 
 def keygen(params: GroupParams, rng: random.Random, role: str = "") -> KeyPair:

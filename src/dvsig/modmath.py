@@ -23,10 +23,15 @@ sds_verify and Lee-Chang's mr_simulate write their powers by the
 verifier's secret as powers of g and y_A, so they read these tables
 too.  Saeednia, Lee-Chang and PV signing and the three simulators take
 table powers only.  A PerCallBase builds a smaller comb (4 rows, 1
-block) at its first power; sdvs_mr._recover marks t and the UDVS e so
-for one call, as it raises each to q and then to s or x_B.  Marking a value already of the form returns it unchanged.
-A process that loads its group and keys once per invocation, as the CLI
-does, powers each of them a few times and builds no table.
+block) at its first power; sdvs_mr._recover marks t and the UDVS e so,
+as it raises each to q and then to s or x_B.  Marking a value already
+of the form returns it unchanged, so the comb lives as long as the
+residue that holds it: a t or e the opener marks goes when the call
+returns, while pv_scheme.PVSignature holds its t as a PerCallBase, so
+every opening of one PV signature, and of its designations, reads the
+comb the first one built.  A process that loads its group and keys once
+per invocation, as the CLI does, powers each of them a few times and
+builds no table.
 
 There is no module state: no cache, no lock, no thread-local.  Two
 threads that power one base may both build its comb, which is
@@ -160,8 +165,12 @@ class FixedBase(int):
 
 
 class PerCallBase(FixedBase):
-    """A base powered a few times in one call: its comb is built at its first power.
+    """A base powered at least twice: its comb is built at its first power.
 
+    The comb lives as long as the residue: sdvs_mr._recover marks a t or
+    e it is handed as a plain int for the length of one call, and a
+    PVSignature's t, marked when the signature is made, keeps its comb
+    for every opening of that signature (about 5 KB at 2048/256 bits).
     At 2048/256 bits a build is 192 squarings and a power 64 squarings
     and at most 64 multiplications.  A build and two powers take 0.7 of
     the time of two builtin pows at 2048 bits, 0.9 at 512, 1.0 at 384 and

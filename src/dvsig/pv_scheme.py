@@ -10,6 +10,12 @@ can recover the message and verify,
 Signing is sdvs_mr's _sign, and psv is one call to its _recover with
 c * g**-k2.  This is the publicly verifiable first stage of the universal
 designation flow; designation towards one verifier happens afterwards.
+
+A PV signature is the one signature that is opened more than once: its
+holder verifies it, and udvs.dsg opens it again for every designation.
+So PVSignature holds t as a modmath.PerCallBase, whose comb the first
+opening builds for t**q and every later opening reads, the designations'
+openings in dsv_recover included, as dsg hands on the same t.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidSignature, NonInvertible
 from .groupparams import GroupParams
-from .modmath import mod_inv
+from .modmath import PerCallBase, mod_inv
 from .msghash import HashMode, Message, hash_to_zq
 from .sdvs_mr import RecoveryNonces, _recover, _sign
 
@@ -29,6 +35,10 @@ class PVSignature:
     c: int
     r: int
     s: int
+
+    def __post_init__(self):
+        # Opened by psv, then again by each dsg (modmath.PerCallBase).
+        object.__setattr__(self, "t", PerCallBase(self.t))
 
 
 def psg(

@@ -22,9 +22,11 @@ towards y_B.  The private helpers below are the shared core: _sign,
 _recover (every check of the three verifiers, in one order, around one
 opening of g**-k2 from one t**s, one y_A**r and one modular inverse)
 and _simulate.  _recover powers t twice (to q, then to s) and the UDVS
-e twice (to q, then to x_B), so for the length of the call it holds
-both as modmath.PerCallBase: each builds a per-call comb at its first
-power, and the second power reads it instead of a builtin pow.
+e twice (to q, then to x_B), so it holds both as modmath.PerCallBase:
+each builds a comb at its first power, and the second power reads it
+instead of a builtin pow.  A plain-int field is marked for the length
+of the call; a PV signature's t is already marked, so its comb also
+serves every later opening of that signature and of its designations.
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1) and
 u = y_A**(w1**-1 * w2); the map (w1, w2) -> (k1, k2) =
@@ -98,8 +100,11 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
     signature, value(g**-k2, e) unblinds the message (e is None unless
     named), and r = H(m, g**k2) accepts it, as msghash.recovered_message(m):
     a bare residue is no error.  t and e are held here as PerCallBase, so
-    e**x_B reads the comb that e**q built, and x_B reaches e only after
-    e**q = 1 has passed.
+    t**s and e**x_B read the combs that t**q and e**q built, and x_B
+    reaches e only after e**q = 1 has passed.  A t that is already a
+    PerCallBase, as every PVSignature's is, keeps its comb: a later
+    opening of the same object powers t from it, to q and to s, without
+    building it again.  Every opening still takes every power.
     """
     p, q = params.p, params.q
     # Each is raised to q, then to s or x_B.

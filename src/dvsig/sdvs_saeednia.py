@@ -11,8 +11,9 @@ It computes c as g**(s*t*x_B) * y_A**(r*t*x_B), exponents mod q, so
 that both powers read the fixed-base tables of g and y_A
 (modmath.FixedBase): two exponentiations, not three.  That equals the
 textbook form for a signer key in the order-q subgroup, which is every
-key keygen makes; for a key outside it the two may differ.  No signer
-key is yet tested for membership of that subgroup.
+key keygen makes; for a key outside it the two may differ.  The CLI
+tests every key it reads for membership of that subgroup
+(keys.validate_public); sds_verify itself checks only the key's range.
 
 The verifier can also simulate signatures with the same distribution
 from randomness (s', r'), which is what makes transcripts worthless to
@@ -95,9 +96,10 @@ def sds_verify(
     """Check r = H(m, c) for c = g**(s*t*x_B) * y_A**(r*t*x_B) mod p; out-of-range fields fail.
 
     c is the textbook (g**s * y_A**r)**(t * x_B) for a signer key in the
-    order-q subgroup; for a key outside it the two may differ.  A signer
-    key outside [1, p) fails, as it would otherwise verify as its
-    residue mod p does: one key, one encoding.
+    order-q subgroup, which keys.validate_public checks where a key
+    enters; for a key outside it the two may differ.  A signer key
+    outside [1, p) fails, as it would otherwise verify as its residue
+    mod p does: one key, one encoding.
     """
     p, q = params.p, params.q
     if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q and 1 <= signer_public < p):

@@ -15,6 +15,13 @@ strip the blinding, by sdvs_mr's _recover with w * g**-k2 * e**x_B:
 e must lie in the order-q subgroup: with e * h for an h of small order,
 the verifier's answer would reveal x_B modulo the order of h.
 
+dsg opens the PV signature with psv before it designates, and delta
+carries the PV signature's own t object, a modmath.PerCallBase: the
+comb that the holder's first psv built for t serves the psv of every
+designation and, in the same process, dsv_recover of each of them.  A
+DV signature that dv_simulate makes or the wire decodes holds plain
+ints, and _recover marks its t and e for one call.
+
 The verifier simulates delta from (w1, w2, d') with the shared simulator
 core (t', u, r', s'), takes c' = m * u as the PV signer would, and then
 self-designates: e' = g**-d', w' = c' * g**(x_B * d').  Under

@@ -129,9 +129,11 @@ def test_pv_verify_degenerate_signer_key_rejects(toyfiles, tmp_path, capsys, y):
     assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
                 "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
                 *STUBBED, "--out", str(pv_sig)]) == 0
+    capsys.readouterr()
+    # Refused where it is read, before the signature is opened.
     assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", str(bad_key), "--in", str(pv_sig), *STUBBED]) == 1
-    assert "REJECT" in capsys.readouterr().out
+                "--signer-key", str(bad_key), "--in", str(pv_sig), *STUBBED]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_saeednia_sign_verify(toyfiles, tmp_path, capsys):
@@ -459,6 +461,68 @@ def test_every_command_that_loads_params_refuses_a_broken_shape(toyfiles, tmp_pa
         assert not out.exists()
     # params check still reports the group instead of refusing it
     assert run(["params", "check", "--in", str(params)]) == 1
+
+
+# Every command that reads a public key, with the files it reads named by their toyfiles keys.
+KEY_READERS = [
+    ["sign", "--scheme", "saeednia", "--key", "signer_sec", "--verifier-key", "verifier_pub",
+     "--raw-residue", "7", "--seed", "1", "--out", "out"],
+    ["sign", "--scheme", "leechang", "--key", "signer_sec", "--verifier-key", "verifier_pub",
+     "--raw-residue", "7", "--seed", "1", "--out", "out"],
+    ["verify", "--scheme", "saeednia", "--key", "verifier_sec", "--signer-key", "signer_pub",
+     "--raw-residue", "7", "--in", "m.ssig"],
+    ["verify", "--scheme", "pv", "--signer-key", "signer_pub", "--in", "m.pvsig"],
+    ["recover", "--scheme", "leechang", "--key", "verifier_sec", "--signer-key", "signer_pub",
+     "--in", "m.rsig"],
+    ["recover", "--scheme", "pv", "--signer-key", "signer_pub", "--in", "m.pvsig"],
+    ["dverify", "--key", "verifier_sec", "--signer-key", "signer_pub", "--in", "m.dvsig"],
+    ["designate", "--signer-key", "signer_pub", "--verifier-key", "verifier_pub", "--in", "m.pvsig",
+     "--seed", "1", "--out", "out"],
+    *(["simulate", "--scheme", scheme, "--key", "verifier_sec", "--signer-key", "signer_pub",
+       "--raw-residue", "7", "--seed", "1", "--out", "out"]
+      for scheme in ("saeednia", "leechang", "udvs")),
+]
+
+
+@pytest.fixture()
+def signed(toyfiles, tmp_path):
+    """toyfiles plus a signature of residue 7 in each scheme, made with the good keys."""
+    f = {**toyfiles, **{name: str(tmp_path / name)
+                        for name in ("m.pvsig", "m.ssig", "m.rsig", "m.dvsig", "out")}}
+    group = ["--params", f["params"], *STUBBED]
+    for scheme, name in (("pv", "m.pvsig"), ("saeednia", "m.ssig"), ("leechang", "m.rsig")):
+        verifier = [] if scheme == "pv" else ["--verifier-key", f["verifier_pub"]]
+        assert run(["sign", "--scheme", scheme, *group, "--key", f["signer_sec"], *verifier,
+                    "--raw-residue", "7", "--seed", "3", "--out", f[name]]) == 0
+    assert run(["designate", *group, "--signer-key", f["signer_pub"], "--verifier-key",
+                f["verifier_pub"], "--in", f["m.pvsig"], "--seed", "4", "--out", f["m.dvsig"]]) == 0
+    return f
+
+
+@pytest.mark.parametrize("bad", ["p-y", 0, 1, TOY23.p])
+def test_every_public_key_reader_refuses_a_key_outside_the_subgroup(signed, tmp_path, capsys, bad):
+    """Each --signer-key and --verifier-key is checked where it is read: a key of order 2q
+    (p - y), or one outside (1, p), exits 3 with nothing on stdout, from every command whose
+    run with the good keys exits 0."""
+    out = Path(signed["out"])
+    for argv in KEY_READERS:
+        files = [signed.get(arg, arg) for arg in argv]
+        assert run([*files, "--params", signed["params"], *STUBBED]) == 0, argv
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        for flag in ("--signer-key", "--verifier-key"):
+            if flag not in argv:
+                continue
+            good = files[argv.index(flag) + 1]
+            y = wirefmt.loads_expected(Path(good).read_bytes(), PublicKey).y
+            bad_key = tmp_path / "bad.pub"
+            bad_key.write_text(wirefmt.armor(PublicKey(TOY23.p - y if bad == "p-y" else bad)))
+            files[argv.index(flag) + 1] = str(bad_key)
+            assert run([*files, "--params", signed["params"], *STUBBED]) == 3, (argv, flag)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {flag}: "), (argv, flag)
+            assert not out.exists()
+            files[argv.index(flag) + 1] = good
 
 
 def test_two_dash_files_in_one_direction_are_usage_errors(toyfiles):

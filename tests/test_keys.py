@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dvsig.errors import OutOfRange
-from dvsig.keys import derive_public, keygen
+from dvsig.errors import Malformed, OutOfRange
+from dvsig.keys import derive_public, keygen, validate_public
 
 
 def test_derive_public_toy_values(toy):
@@ -39,3 +39,35 @@ def test_keygen_role_label(toy):
     assert pair.role == "signer"
     assert pair.public().y == pair.y
     assert pair.secret().x == pair.x
+
+
+@pytest.mark.parametrize("group, keys", [("toy", 0), ("midsize", 20), ("big", 3)])
+def test_validate_public_passes_every_key_keygen_makes(request, group, keys):
+    """On toy23 every key there is (x in [1, q)); elsewhere `keys` seeded ones."""
+    params = request.getfixturevalue(group)
+    if keys:
+        ys = [keygen(params, random.Random(seed)).y for seed in range(keys)]
+    else:
+        ys = [derive_public(params, x) for x in range(1, params.q)]
+    for y in ys:
+        assert validate_public(params, y) is None
+
+
+OUTSIDE = {
+    "zero": lambda params, y: 0,
+    "one": lambda params, y: 1,
+    "p": lambda params, y: params.p,
+    "y+p": lambda params, y: y + params.p,
+    "p-1": lambda params, y: params.p - 1,
+    "p-y": lambda params, y: params.p - y,  # order 2q: (-y)**q = -1
+}
+
+
+@pytest.mark.parametrize("name", OUTSIDE)
+@pytest.mark.parametrize("group", ["toy", "midsize"])
+def test_validate_public_refuses_what_is_no_nontrivial_subgroup_element(request, group, name):
+    params = request.getfixturevalue(group)
+    y = OUTSIDE[name](params, keygen(params, random.Random(5)).y)
+    message = "outside" if name in ("zero", "one", "p", "y+p") else "order-q"
+    with pytest.raises(Malformed, match=message):
+        validate_public(params, y)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import sys
@@ -8,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from dvsig import modmath, wirefmt
 from dvsig.cli import run
-from dvsig.errors import DegenerateHash, NonInvertible
+from dvsig.errors import DegenerateHash, InvalidSignature, NonInvertible
 from dvsig.groupparams import GroupParams, generate_params
 from dvsig.keys import keygen
 from dvsig.modmath import (ZQ, ZQ_STAR, FixedBase, PerCallBase, mod_exp, mod_inv, pow_in_subgroup,
                            sample_space, sample_uniform)
 from dvsig.msghash import encode_message
-from dvsig.pv_scheme import psg, psv
-from dvsig.sdvs_mr import RecoveryNonces
+from dvsig.pv_scheme import PVSignature, psg, psv
+from dvsig.sdvs_mr import RecoveryNonces, mr_recover_verify, mr_sign
+from dvsig.udvs import dsg, dsv_recover
 
 
 def repeated_multiplication(base, exp, modulus):
@@ -445,11 +447,93 @@ def test_both_forms_build_from_512_bits(wide, builds):
     assert builds[1:] == [(FixedBase.rows, FixedBase.blocks)]
 
 
-def test_two_psv_calls_on_one_signature_build_two_per_call_combs(big, big_signer, builds):
-    sig = psg(big, big_signer.x, encode_message(b"twice", big),
-              RecoveryNonces(k1=5, k2=7))
+def test_one_pv_signature_builds_one_per_call_comb(big, big_signer, big_verifier, builds):
+    """A PV signature's t keeps the comb its first opening builds: two psv calls, a dsg
+    and the dsv_recover of that designation build one comb for t and one for e.  A
+    Lee-Chang signature keeps a plain-int t, marked for one call at each opening."""
+    sig = psg(big, big_signer.x, encode_message(b"twice", big), RecoveryNonces(k1=5, k2=7))
     builds.clear()
     for _ in range(2):
         assert psv(big, big_signer.y, sig).payload == b"twice"
-    assert builds.count((PerCallBase.rows, PerCallBase.blocks)) == 2
-    assert type(sig.t) is int
+    dv = dsg(big, big_signer.y, big_verifier.y, sig, 9)
+    assert dsv_recover(big, big_signer.y, big_verifier.x, dv).payload == b"twice"
+    assert builds == [(PerCallBase.rows, PerCallBase.blocks)] * 2
+    assert type(sig.t) is PerCallBase and dv.t is sig.t
+
+    lee = mr_sign(big, big_signer.x, big_verifier.y, encode_message(b"twice", big),
+                  RecoveryNonces(k1=5, k2=7))
+    builds.clear()
+    for _ in range(2):
+        assert mr_recover_verify(big, big_signer.y, big_verifier.x, lee).payload == b"twice"
+    assert builds == [(PerCallBase.rows, PerCallBase.blocks)] * 2
+    assert type(lee.t) is int
+
+    comb = sig.t.comb
+    assert comb is not None
+    del sig, dv
+    gc.collect()
+    # Only the local name and getrefcount's own argument still hold it.
+    assert sys.getrefcount(comb) == 2
+
+
+def plain(sig):
+    """A copy of a PV signature whose t is a plain int, so each opening marks it for one call."""
+    copy = PVSignature(int(sig.t), sig.c, sig.r, sig.s)
+    object.__setattr__(copy, "t", int(sig.t))
+    return copy
+
+
+def opened(params, signer_public, sig):
+    """psv's message, or the message of the InvalidSignature it raises."""
+    try:
+        return psv(params, signer_public, sig).value
+    except InvalidSignature as exc:
+        return str(exc)
+
+
+def test_a_kept_comb_too_narrow_for_q_leaves_the_opening_exact(big, big_signer):
+    """A PV signature's t first powered by a short exponent keeps a comb too narrow for
+    q: every opening, valid or tampered, equals that of a plain-int copy."""
+    sig = psg(big, big_signer.x, encode_message(b"narrow", big), RecoveryNonces(k1=11, k2=13))
+    assert mod_exp(sig.t, 3, big.p) == pow(int(sig.t), 3, big.p)
+    narrow = sig.t.comb
+    assert narrow.width < big.q.bit_length()
+    tampered = dataclasses.replace(sig, c=sig.c % (big.p - 1) + 1)
+    assert tampered.t is sig.t
+    for candidate in (sig, tampered, sig):
+        assert opened(big, big_signer.y, candidate) == opened(big, big_signer.y, plain(candidate))
+    assert opened(big, big_signer.y, tampered) == "hash check failed"
+    assert sig.t.comb is narrow
+
+
+def test_a_kept_comb_leaves_another_modulus_exact(big, big_signer, monkeypatch):
+    """One PV object opened under a second 2048-bit group as well: its comb is bound to
+    the first group's modulus, so the other group's openings take the builtin pow, and
+    each opening, and each power of t in it, equals that of a plain-int copy."""
+    other = generate_params(256, 2048, random.Random(0x0DD))
+    assert other.p != big.p and other.p.bit_length() == 2048
+    m = encode_message(b"two groups", big)
+    # A signature whose fields lie in both groups' ranges, so both openings reach t**q.
+    for k1 in range(1, 100):
+        sig = psg(big, big_signer.x, m, RecoveryNonces(k1=k1, k2=k1 + 1))
+        if sig.t < other.p and sig.c < other.p and sig.r < other.q and sig.s < other.q:
+            break
+    else:
+        pytest.fail("no signature lies in both groups' ranges")
+    assert opened(big, big_signer.y, sig) == m.value
+    comb = sig.t.comb
+    assert comb.modulus == big.p
+    powers, power = [], modmath._power
+
+    def spy(base, exp, modulus):
+        result = power(base, exp, modulus)
+        if base is sig.t:
+            powers.append((modulus, result == pow(int(base), exp, modulus)))
+        return result
+
+    monkeypatch.setattr(modmath, "_power", spy)
+    for params in (other, big, other):
+        assert opened(params, big_signer.y, sig) == opened(params, big_signer.y, plain(sig))
+    assert opened(other, big_signer.y, sig) == "t is not a nontrivial order-q subgroup element"
+    assert [modulus for modulus, _ in powers] == [other.p, big.p, big.p, other.p, other.p]
+    assert all(exact for _, exact in powers) and sig.t.comb is comb
