@@ -6,7 +6,7 @@ class DVSError(Exception):
 
 
 class NonInvertible(DVSError):
-    """Requested the inverse of a residue that has none (zero mod a prime)."""
+    """Requested the inverse of a residue that has none (zero, or a non-unit mod a composite)."""
 
 
 class OutOfRange(DVSError):

@@ -1,38 +1,24 @@
 """Schnorr groups: a prime-order-q subgroup of Z_p* with generator g.
 
-Generation picks the subgroup order q first (Miller-Rabin, 64 rounds),
-then searches p = 2*k*q + 1 until p is prime, and finally builds the
-generator as g = h**((p-1)/q) mod p for random h, retrying while g = 1.
-Generation is deterministic for a fixed seeded randomness source.
-From 1024 bits up, the Miller-Rabin rounds run on a pool of worker
-processes that lives only as long as the call; module primes explains
-how the search stays exactly the serial one, witness for witness.  It
-is imported only by the calls that need it, so a process that just
-loads a group compiles none of it.
+This module only describes groups: the dataclass, the toy23 preset,
+generation, and the checks on a group.  Whether a number is prime is
+decided in module primes (trial division, then 64 Miller-Rabin rounds),
+which this module imports only inside the calls that need it, so a
+process that just loads a group compiles none of it.
+
+Generation picks the subgroup order q first, then searches
+p = 2*k*q + 1 until p is prime (primes.prime_pair), and finally builds
+the generator as g = h**((p-1)/q) mod p for random h, retrying while
+g = 1.  It is deterministic for a fixed seeded randomness source.
+validate_params proves p and q again, with witnesses of its own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from math import isqrt
 
 from .modmath import FixedBase, mod_exp, sample_uniform
-
-_TRIAL_LIMIT = 4096
-
-
-def _sieve(limit: int):
-    """The primes below limit (at least 3) in increasing order, lazily."""
-    flags = bytearray([1]) * limit
-    for n in range(3, isqrt(limit - 1) + 1, 2):
-        if flags[n]:
-            flags[n * n :: 2 * n] = bytes(len(range(n * n, limit, 2 * n)))
-    return chain([2], compress(range(3, limit, 2), flags[3::2]))
-
-
-_SMALL_PRIMES = list(_sieve(_TRIAL_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -46,15 +32,6 @@ class GroupParams:
     def __post_init__(self):
         # Every signature powers g, so it keeps a fixed-base table (modmath.FixedBase).
         object.__setattr__(self, "g", FixedBase(self.g))
-
-    def subgroup(self) -> list[int]:
-        """All q powers of g, in exponent order.  Toy-scale groups only."""
-        out = []
-        value = 1
-        for _ in range(self.q):
-            out.append(value)
-            value = value * self.g % self.p
-        return out
 
 
 @dataclass
@@ -73,30 +50,11 @@ TOY23 = GroupParams(p=23, q=11, g=4)
 PRESETS = {"toy23": TOY23}
 
 
-def _trial_division(n: int) -> bool | None:
-    """Whether n is prime where trial division below _TRIAL_LIMIT decides it, else None."""
-    if n < 2:
-        return False
-    for prime in _SMALL_PRIMES:
-        if n == prime:
-            return True
-        if n % prime == 0:
-            return False
-    return True if n < _TRIAL_LIMIT * _TRIAL_LIMIT else None
-
-
 def is_probable_prime(n: int) -> bool:
-    """Trial division below _TRIAL_LIMIT**2 (exact), Miller-Rabin above.
-
-    The witness stream is derived from n, so repeated validation of the
-    same value is reproducible.
-    """
-    verdict = _trial_division(n)
-    if verdict is not None:
-        return verdict
+    """primes.is_probable_prime(n): trial division, then Miller-Rabin seeded with n."""
     from . import primes
 
-    return primes.miller_rabin(n, random.Random(n))
+    return primes.is_probable_prime(n)
 
 
 def generate_params(

@@ -199,11 +199,12 @@ def mod_exp(base: int, exp: int, modulus: int) -> int:
 
 
 def mod_inv(a: int, modulus: int) -> int:
-    """Multiplicative inverse of a modulo a prime."""
-    a %= modulus
-    if a == 0:
-        raise NonInvertible(f"0 has no inverse mod {modulus}")
-    return pow(a, -1, modulus)
+    """Multiplicative inverse of a modulo modulus >= 2; NonInvertible for an a that shares a
+    factor with modulus, as 0 does, and as more do when modulus is composite."""
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NonInvertible(f"{a % modulus} has no inverse mod {modulus}") from None
 
 
 def pow_in_subgroup(base: int, exp: int, p: int, q: int) -> int:

@@ -1,13 +1,15 @@
-"""Prime search and Miller-Rabin rounds for groupparams, loaded only when it needs them.
+"""Primality for groupparams, decided in one place, loaded only when it is needed.
+
+is_probable_prime is the one test (HAC 4.4): trial division below
+_TRIAL_LIMIT, then Miller-Rabin.  prime_pair searches by the same rules.
 
 Nearly all the time of a 2048-bit generation or validation goes to
-Miller-Rabin rounds on p, about 40 ms each: 64 to accept p, 64 more to
-validate it, and one for each composite candidate that survives trial
-division.  The rounds are independent, so moduli of _POOL_MIN_BITS or
-more take them on a pool of worker processes, one per CPU, opened
-inside generate_params or is_probable_prime (which validate_params
-calls) and killed before the call returns or raises.  A worker is a
-fresh interpreter, python -S, running the file of module mrround as a
+Miller-Rabin rounds on p, about 40 ms each: 64 to accept p, and one for
+each composite candidate that survives trial division.  The rounds are
+independent, so moduli of _POOL_MIN_BITS or more take them on a pool of
+worker processes, one per CPU, opened inside prime_pair or miller_rabin
+and killed before the call returns or raises.  A worker is a fresh
+interpreter, python -S, running the file of module mrround as a
 script: it imports no dvsig module, answers marshalled (n, witness)
 rounds over a pipe with mrround.passes, the function the builtin map
 runs too, and starts in about the time of a bare interpreter (18 ms
@@ -51,9 +53,10 @@ after draw i, where the serial test stops.  The attempt budget, one
 iterator that the q and the p search share, is spent per candidate in
 the same order, and its GenerationTimeout is raised only once the
 candidates before it are settled, so it is raised at the same attempt.
-validate_params draws its witnesses from a local rng seeded with n, so
-there only the verdict counts, and it is still that every round
-passes.
+The q search runs its rounds with the builtin map at every size (a
+256-bit round takes about 0.15 ms).  is_probable_prime draws its
+witnesses from a local rng seeded with n, so there only the verdict
+counts, and it is still that every round passes.
 """
 
 from __future__ import annotations
@@ -65,21 +68,46 @@ import sys
 from array import array
 from contextlib import contextmanager
 from functools import partial
-from itertools import chain
+from itertools import chain, compress
+from math import isqrt
 
 from . import mrround
 from .errors import GenerationTimeout
-from .groupparams import _SMALL_PRIMES, _TRIAL_LIMIT, _sieve, _trial_division
 from .modmath import sample_uniform
 from .mrround import passes
 
+_TRIAL_LIMIT = 4096
 _MR_ROUNDS = 64
-# Moduli of at least this many bits take their rounds on a process pool,
-# and candidates for p of at least this many bits are sieved (see above).
+# Candidates for p and moduli for miller_rabin of at least this many bits take
+# their rounds on a process pool, and such candidates for p are sieved (see above).
 _POOL_MIN_BITS = 1024
 _SIEVE_LIMIT = 1 << 18
 # Below every sieved prime, so that each marks at most one k of a window.
 _WINDOW = 2048
+
+
+def _sieve(limit: int):
+    """The primes below limit (at least 3) in increasing order, lazily."""
+    flags = bytearray([1]) * limit
+    for n in range(3, isqrt(limit - 1) + 1, 2):
+        if flags[n]:
+            flags[n * n :: 2 * n] = bytes(len(range(n * n, limit, 2 * n)))
+    return chain([2], compress(range(3, limit, 2), flags[3::2]))
+
+
+_SMALL_PRIMES = list(_sieve(_TRIAL_LIMIT))
+
+
+def _trial_division(n: int) -> bool | None:
+    """Whether n is prime where trial division below _TRIAL_LIMIT decides it, else None."""
+    if n < 2:
+        return False
+    for prime in _SMALL_PRIMES:
+        if n == prime:
+            return True
+        if n % prime == 0:
+            return False
+    return True if n < _TRIAL_LIMIT * _TRIAL_LIMIT else None
 
 
 def _cpus() -> int:
@@ -234,6 +262,13 @@ def miller_rabin(n: int, rng: random.Random) -> bool:
         return _all_pass(rounds, rng, n, _MR_ROUNDS)
 
 
+def is_probable_prime(n: int) -> bool:
+    """Trial division below _TRIAL_LIMIT**2 (exact), Miller-Rabin with witnesses from
+    random.Random(n) above, so the verdict on n is reproducible."""
+    verdict = _trial_division(n)
+    return miller_rabin(n, random.Random(n)) if verdict is None else verdict
+
+
 def _spending(candidates, attempts):
     """The candidates, each taking one item of the iterator attempts; GenerationTimeout for
     the first candidate that finds attempts exhausted."""
@@ -278,9 +313,9 @@ def prime_pair(q_bits: int, p_bits: int, rng: random.Random, max_attempts: int) 
             primes.extend(_sieve(_SIEVE_LIMIT))
             del primes[:len(_SMALL_PRIMES)]
             primes.reverse()
-        q_rounds = rounds if q_bits >= _POOL_MIN_BITS else partial(map, passes)
         while True:
-            q = _first_prime(_spending(_random_odd(q_bits, rng), attempts), rng, q_rounds, 1)
+            q = _first_prime(_spending(_random_odd(q_bits, rng), attempts), rng,
+                             partial(map, passes), 1)
             two_q = 2 * q
             k_min = ((1 << (p_bits - 1)) - 1) // two_q + 1
             k_max = ((1 << p_bits) - 2) // two_q

@@ -134,8 +134,6 @@ def sds_simulate(
     if r == 0:
         raise DegenerateHash("hash hit r = 0; pick fresh simulator randomness")
     ell = r_rand * mod_inv(r, q) % q
-    if ell == 0:  # unreachable for prime q; guards the contract
-        raise InvalidRandomness("degenerate bridging factor")
     s = s_rand * mod_inv(ell, q) % q
     t = ell * mod_inv(verifier_secret, q) % q
     return SaeedniaSignature(r=r, s=s, t=t)

@@ -8,6 +8,15 @@ from dvsig.keys import KeyPair, keygen
 from dvsig.modmath import FixedBase, mod_exp
 
 
+def subgroup(params):
+    """All q powers of g, in exponent order.  Toy-scale groups only."""
+    out, value = [], 1
+    for _ in range(params.q):
+        out.append(value)
+        value = value * params.g % params.p
+    return out
+
+
 @pytest.fixture(scope="session")
 def toy():
     return TOY23

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from dvsig import oracle, wirefmt
+from dvsig import oracle, primes, wirefmt
 from dvsig.cli import build_parser, run
-from dvsig.groupparams import GroupParams, TOY23
+from dvsig.groupparams import GroupParams, TOY23, validate_params
 from dvsig.keys import PublicKey
 from dvsig.pv_scheme import PVSignature
 from dvsig.udvs import DVSignature
@@ -47,6 +47,22 @@ def test_params_gen_fresh_small_group(tmp_path):
                 "--out", str(out)]) == 0
     params = wirefmt.loads_expected(out.read_bytes(), GroupParams)
     assert params.q.bit_length() == 8 and params.p.bit_length() == 24
+    assert validate_params(params).valid
+
+
+def test_params_gen_on_the_pool_writes_a_valid_group(tmp_path, monkeypatch):
+    """From 1024 bits up, generation takes its Miller-Rabin rounds on the worker pool (two
+    workers here, on any machine); params gen does not check its own output, so this does."""
+    opened, real = [], primes._Pool
+    monkeypatch.setattr(primes, "_cpus", lambda: 2)
+    monkeypatch.setattr(primes, "_Pool", lambda workers: opened.append(workers) or real(workers))
+    out = tmp_path / "pooled.params"
+    assert run(["params", "gen", "--q-bits", "160", "--p-bits", "1024", "--seed", "1",
+                "--out", str(out)]) == 0
+    assert opened == [2]
+    params = wirefmt.loads_expected(out.read_bytes(), GroupParams)
+    assert params.q.bit_length() == 160 and params.p.bit_length() == 1024
+    assert validate_params(params).valid
 
 
 def test_params_check_accepts_and_rejects(tmp_path, capsys):
@@ -279,6 +295,22 @@ def test_a_group_where_every_draw_is_degenerate_exits_two(tmp_path):
             assert done.returncode == code, (command, residue, done.stderr)
             if code == 2:
                 assert b"every one of the 2 draws" in done.stderr
+
+
+def test_a_composite_subgroup_order_exits_three_not_two(tmp_path, capsys):
+    """(23, 22, 5) passes the load-time shape check; a draw whose inverse mod q = 22 does not
+    exist is malformed input, never a usage error."""
+    params = tmp_path / "q22.params"
+    params.write_text(wirefmt.armor(GroupParams(p=23, q=22, g=5)))
+    keys = {name: str(tmp_path / name) for name in ("a.sec", "a.pub", "b.sec", "b.pub")}
+    for who, seed in (("a", "1"), ("b", "2")):
+        assert run(["keygen", "--params", str(params), "--seed", seed,
+                    "--out-secret", keys[f"{who}.sec"], "--out-public", keys[f"{who}.pub"]]) == 0
+    codes = [run(["sign", "--scheme", "leechang", "--params", str(params), "--key", keys["a.sec"],
+                  "--verifier-key", keys["b.pub"], "--raw-residue", "7", *STUBBED,
+                  "--seed", str(seed), "--out", str(tmp_path / "out.sig")]) for seed in range(12)]
+    assert codes == [3, 3, 0, 0, 0, 0, 3, 3, 0, 3, 3, 3]
+    assert capsys.readouterr().err.count("has no inverse mod 22") == 7
 
 
 def test_usage_errors_exit_two(toyfiles, tmp_path):

@@ -10,9 +10,10 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from conftest import subgroup
 from hypothesis import given, settings, strategies as st
 
-from dvsig import groupparams, primes
+from dvsig import primes
 from dvsig.errors import GenerationTimeout
 from dvsig.groupparams import (
     PRESETS,
@@ -49,10 +50,10 @@ def test_toy23_preset_by_exhaustive_search():
 
 
 def test_toy23_subgroup_listing():
-    subgroup = TOY23.subgroup()
-    assert len(subgroup) == 11
-    assert subgroup[0] == 1 and subgroup[1] == 4
-    assert sorted(subgroup) == sorted(set(subgroup))
+    powers = subgroup(TOY23)
+    assert len(powers) == 11
+    assert powers[0] == 1 and powers[1] == 4
+    assert sorted(powers) == sorted(set(powers))
 
 
 def test_validate_rejects_identity_generator():
@@ -220,7 +221,7 @@ def test_a_round_failing_after_the_first_rewinds_rng_to_the_serial_state(batch):
     candidates = []
     while len(candidates) < 7:
         n = rng.getrandbits(128) | 1 << 127 | 1
-        if all(n % prime for prime in groupparams._SMALL_PRIMES):
+        if all(n % prime for prime in primes._SMALL_PRIMES):
             candidates.append(n)
     for fail_rounds in ([1, 2, 1, 64, 5, 1, None], [33, 1, 2, 1, 1, 64, 1], [1] * 7):
         fail_round = dict(zip(candidates, fail_rounds))
@@ -342,8 +343,8 @@ def test_validation_rewinds_rng_to_the_serial_state(monkeypatch, fail_round):
 
 # ------------------------------------------------ first rounds settled modulo a sieved factor
 
-SIEVED = [f for f in groupparams._sieve(primes._SIEVE_LIMIT) if f > groupparams._TRIAL_LIMIT]
-ODD_PRIMES = list(groupparams._sieve(primes._SIEVE_LIMIT))[1:]
+SIEVED = [f for f in primes._sieve(primes._SIEVE_LIMIT) if f > primes._TRIAL_LIMIT]
+ODD_PRIMES = list(primes._sieve(primes._SIEVE_LIMIT))[1:]
 
 
 def odd_part(n):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import random
 import sys
 import threading
@@ -60,6 +61,20 @@ def test_mod_inv_small_cases():
 def test_mod_inv_exhaustive(q):
     for a in range(1, q):
         assert a * mod_inv(a, q) % q == 1
+
+
+def test_mod_inv_composite_modulus():
+    """Every a that shares a factor with the modulus raises NonInvertible, not the builtin
+    ValueError; the others get their exact inverse."""
+    with pytest.raises(NonInvertible, match="2 has no inverse mod 22"):
+        mod_inv(2, 22)
+    for modulus in range(2, 40):
+        for a in range(-2 * modulus, 2 * modulus):
+            if math.gcd(a, modulus) == 1:
+                assert a * mod_inv(a, modulus) % modulus == 1
+            else:
+                with pytest.raises(NonInvertible):
+                    mod_inv(a, modulus)
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))

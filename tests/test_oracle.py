@@ -3,6 +3,7 @@ from collections import Counter
 from dataclasses import astuple
 
 import pytest
+from conftest import subgroup
 
 from dvsig.errors import GroupTooLarge, SchemeMismatch
 from dvsig.groupparams import GroupParams
@@ -129,10 +130,10 @@ def test_unknown_scheme_rejected(toy, toy_signer, toy_verifier, m7):
 
 def test_random_forgery_components_in_range(toy):
     rng = random.Random(5)
-    subgroup = set(toy.subgroup())
+    elements = set(subgroup(toy))
     for _ in range(50):
         sig = random_forgery(toy, SCHEME_LEECHANG, rng)
-        assert sig.t in subgroup
+        assert sig.t in elements
         assert 1 <= sig.c < toy.p
         assert 0 <= sig.r < toy.q and 0 <= sig.s < toy.q
     sae = random_forgery(toy, SCHEME_SAEEDNIA, rng)
