@@ -6,11 +6,12 @@ around the table crossover in modmath) it prints the builtin pow time,
 the comb-table evaluation time, the table build time and bytes, and
 the number of uses after which a build has paid for itself.  Each time
 is the median of REPEAT rounds of POWERS powers of g with random
-exponents below q.  A last line per group times what a
-modmath.PerCallBase does when it is powered twice, as sdvs_mr._recover
-powers t: build the per-call comb, then raise the base to q and to a
-random exponent, for each of the first PER_CALL_PAIRS exponents;
-against two builtin pows.  Run from the repository root:
+exponents below q.  Two last lines per group time what a
+modmath.PerCallBase does, at its comb shape, when it is powered as the
+openers power t: build the per-call comb, then raise the base to q and
+to one random exponent (PV and UDVS) or to two (Lee-Chang, which also
+raises t to s*x_B), over PER_CALL_ROUNDS rounds; against as many
+builtin pows.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/modmath_layer.py
 """
@@ -28,7 +29,7 @@ SIZES = [(256, 2048), (64, 256), (48, 160), (16, 64)]
 SEED = 0x5EED2026
 POWERS = 50
 REPEAT = 7
-PER_CALL_PAIRS = 10
+PER_CALL_ROUNDS = 10
 
 
 def median_ms(fn, args) -> float:
@@ -67,17 +68,27 @@ def measure(q_bits: int, p_bits: int):
     repaid = f"{build / (builtin - comb):.1f} uses" if comb < builtin else "never"
     print(f"build repaid after: {repaid}")
 
-    def per_call(e):
-        marked = _Comb(g, p, q.bit_length(), PerCallBase.rows, PerCallBase.blocks)
-        return marked.power(q), marked.power(e)
+    for n in (2, 3):
+        print(per_call_line(params, exps, n))
 
-    pairs = exps[:PER_CALL_PAIRS]
-    if any(per_call(e) != (pow(g, q, p), pow(g, e, p)) for e in pairs):
+
+def per_call_line(params, exps, n: int) -> str:
+    """Build a per-call comb and raise g to q and to n - 1 exponents, against n builtin pows."""
+    p, q, g = params.p, params.q, params.g
+    rounds = [(q, *exps[i * (n - 1):(i + 1) * (n - 1)]) for i in range(PER_CALL_ROUNDS)]
+
+    def per_call(powers):
+        marked = _Comb(g, p, q.bit_length(), PerCallBase.rows, PerCallBase.blocks)
+        return [marked.power(e) for e in powers]
+
+    def builtin(powers):
+        return [pow(g, e, p) for e in powers]
+
+    if any(per_call(r) != builtin(r) for r in rounds):
         sys.exit("per-call comb power differs from the builtin pow")
-    twice = median_ms(per_call, pairs)
-    builtin_twice = median_ms(lambda e: (pow(g, q, p), pow(g, e, p)), pairs)
-    print(f"per-call comb, build + 2 powers: {twice:.4f} ms; 2 builtin pows: {builtin_twice:.4f} ms"
-          f" ({builtin_twice / twice:.2f}x)")
+    comb, plain = median_ms(per_call, rounds), median_ms(builtin, rounds)
+    return (f"per-call comb {PerCallBase.rows}x{PerCallBase.blocks}, build + {n} powers:"
+            f" {comb:.4f} ms; {n} builtin pows: {plain:.4f} ms ({plain / comb:.2f}x)")
 
 
 def main():

@@ -21,10 +21,12 @@ base builds a table (8 rows, 4 blocks) whose powers take about a
 seventh of the time of the builtin pow at 2048 bits.  Saeednia's
 sds_verify and Lee-Chang's mr_simulate write their powers by the
 verifier's secret as powers of g and y_A, so they read these tables
-too.  Saeednia, Lee-Chang and PV signing and the three simulators take
-table powers only.  A PerCallBase builds a smaller comb (4 rows, 1
-block) at its first power; sdvs_mr._recover marks t and the UDVS e so,
-as it raises each to q and then to s or x_B.  Marking a value already
+too, and Lee-Chang's mr_recover_verify takes its y_A**(-r*x_B) from
+y_A's.  Saeednia, Lee-Chang and PV signing and the three simulators take
+table powers only.  A PerCallBase builds a smaller comb (4 rows, 2
+blocks) at its first power; sdvs_mr._recover marks t and the UDVS e so,
+as it raises each to q and then to s or x_B, and Lee-Chang's t also to
+s*x_B.  Marking a value already
 of the form returns it unchanged, so the comb lives as long as the
 residue that holds it: a t or e the opener marks goes when the call
 returns, while pv_scheme.PVSignature holds its t as a PerCallBase, so
@@ -170,16 +172,20 @@ class PerCallBase(FixedBase):
     The comb lives as long as the residue: sdvs_mr._recover marks a t or
     e it is handed as a plain int for the length of one call, and a
     PVSignature's t, marked when the signature is made, keeps its comb
-    for every opening of that signature (about 5 KB at 2048/256 bits).
-    At 2048/256 bits a build is 192 squarings and a power 64 squarings
-    and at most 64 multiplications.  A build and two powers take 0.7 of
-    the time of two builtin pows at 2048 bits, 0.9 at 512, 1.0 at 384 and
-    1.1 at 256 (timed as in scripts/modmath_layer.py), so, like a
+    for every opening of that signature (32 residues, about 9 KB at
+    2048/256 bits).  There a build is 224 squarings and a power 32
+    squarings and at most 64 multiplications: a build and 2, 3 or 6
+    powers take 7.9, 9.8 or 15.3 ms, against 8.3, 10.6 or 17.8 ms with 4
+    rows and 1 block and 10.7, 16.1 or 32.0 ms of builtin pows (2-core
+    Xeon, Python 3.11).  A build and two powers, as PV and UDVS open t,
+    take 0.94 of the time of two builtin pows at 512 bits, 1.01 at 384
+    and 1.19 at 256; a build and three, as Lee-Chang opens t, 0.76, 0.83
+    and 0.99 (timed as in scripts/modmath_layer.py).  So, like a
     FixedBase, it builds nothing below 512 bits.  A build and one power
-    take about 1.1 of one builtin pow at 2048 bits.
+    take about 1.13 of one builtin pow at 2048 bits.
     """
 
-    rows, blocks = 4, 1
+    rows, blocks = 4, 2
     after = 1
 
 

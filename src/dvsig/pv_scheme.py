@@ -60,7 +60,7 @@ def psv(
 ) -> Message:
     """PV verification: recover m from public values only, or raise."""
     return _recover(params, signer_public, sig, ("c",),
-                    lambda unblind, _: sig.c * unblind % params.p, mode)
+                    lambda unblind, _, __: sig.c * unblind % params.p, mode)
 
 
 def psv_matches(

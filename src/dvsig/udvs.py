@@ -93,7 +93,7 @@ def dsv_recover(
     """Recover and verify a DV signature; needs the designated verifier's secret."""
     p = params.p
     return _recover(params, signer_public, sig, ("w", "e"),
-                    lambda unblind, e: sig.w * unblind % p * mod_exp(e, verifier_secret, p) % p,
+                    lambda unblind, _, e: sig.w * unblind % p * mod_exp(e, verifier_secret, p) % p,
                     mode)
 
 

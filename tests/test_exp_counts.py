@@ -18,7 +18,7 @@ from dvsig.keys import keygen
 from dvsig.modmath import sample_uniform
 from dvsig.msghash import encode_message
 from dvsig.pv_scheme import psg, psv
-from dvsig.sdvs_mr import mr_recover_verify, mr_sign, mr_simulate, random_nonces
+from dvsig.sdvs_mr import RecoverySignature, mr_recover_verify, mr_sign, mr_simulate, random_nonces
 from dvsig.sdvs_saeednia import SaeedniaNonces, sds_sign, sds_sign_random, sds_simulate, sds_verify
 from dvsig.udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_simulate
 
@@ -57,7 +57,19 @@ def test_exponentiations_per_operation_with_per_call_combs(wide, exp_counter):
     pinned_counts(wide, exp_counter)
 
 
+def test_exponentiations_per_operation_at_full_size(big, exp_counter):
+    """The same counts at 2048/256 bits, the size the benchmark runs."""
+    pinned_counts(big, exp_counter)
+
+
 def pinned_counts(params, exp_counter):
+    """Pin each operation's count of exponentiations.
+
+    Lee-Chang recover takes 5: t**q, y_A**r, t**s, and the unblinding
+    (t**s * y_A**-r)**x_B as t**(s*x_B) * y_A**(-r*x_B), so that it reads
+    t's per-call comb and y_A's table instead of a builtin pow of a fresh
+    base, at the cost of one more exponentiation.
+    """
     rng = random.Random(7)
     signer = keygen(params, rng)
     verifier = keygen(params, rng)
@@ -77,7 +89,7 @@ def pinned_counts(params, exp_counter):
     lee, n = exp_counter(lambda: mr_sign(params, x_a, y_b, m, random_nonces(params, rng)))
     assert n == 3
     rec, n = exp_counter(lambda: mr_recover_verify(params, y_a, x_b, lee))
-    assert rec.value == m.value and n == 4
+    assert rec.value == m.value and n == 5
     _, n = exp_counter(lambda: mr_simulate(params, y_a, x_b, m, zq_star(), zq()))
     assert n == 3
 
@@ -177,6 +189,43 @@ def test_the_verifier_secret_reaches_e_only_after_its_subgroup_test(wide, monkey
         dsv_recover(wide, signer.y, verifier.x, outside)
     assert (outside.e, q) in powers
     assert not any(base == outside.e and exp != q for base, exp in powers)
+
+
+def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_tabled,
+                                                                    monkeypatch):
+    """mr_recover_verify powers t by s*x_B only after t**q = 1 has passed, and never
+    otherwise.  With y_A's table answering, it raises only t, from the per-call comb that
+    t**q built, and y_A, from its table: the one builtin pow left is the modular inverse."""
+    p, q = wide.p, wide.q
+    signer, verifier = wide_tabled
+    rng = random.Random(19)
+    m = encode_message(b"spy", wide)
+    sig = mr_sign(wide, signer.x, verifier.y, m, random_nonces(wide, rng))
+    h = 2
+    while pow(h, q, p) == 1:
+        h += 1
+    outside = RecoverySignature(sig.t * h % p, sig.c, sig.r, sig.s)
+    powers, builtin_exps, power = [], [], modmath._power
+
+    def spy(base, exp, modulus):
+        powers.append((base, exp))
+        return power(base, exp, modulus)
+
+    def builtin_spy(base, exp, modulus):
+        builtin_exps.append(exp)
+        return pow(base, exp, modulus)
+
+    monkeypatch.setattr(modmath, "_power", spy)
+    monkeypatch.setattr(modmath, "pow", builtin_spy, raising=False)
+    assert mr_recover_verify(wide, signer.y, verifier.x, sig).value == m.value
+    assert powers.index((sig.t, sig.s * verifier.x % q)) > powers.index((sig.t, q))
+    assert len(powers) == 5 and builtin_exps == [-1]
+    for base, _ in powers:
+        assert base is signer.y or (type(base) is modmath.PerCallBase and base == sig.t)
+    powers.clear()
+    with pytest.raises(InvalidSignature, match="t is not a nontrivial order-q subgroup element"):
+        mr_recover_verify(wide, signer.y, verifier.x, outside)
+    assert powers == [(outside.t, q)]
 
 
 def test_saeednia_verify_and_lee_chang_simulate_power_only_tabled_bases(wide, wide_tabled,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +116,69 @@ def test_simulate_from_the_key_table_equals_the_builtin_formulas(wide, wide_tabl
         expected = RecoverySignature(t=pow(y, w1_inv, p), c=m.value * pow(u, verifier.x, p) % p,
                                      r=r, s=(w1 * r - w2) % q)
         assert mr_simulate(wide, signer.y, verifier.x, m, w1, w2) == expected
+
+
+def textbook_recover(params, y_a, x_b, sig, mode):
+    """The residue c * (t**s * y_A**-r)**x_B recovers, by builtin pows only, or None
+    where the textbook verifier rejects."""
+    p, q = params.p, params.q
+    if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.c < p and 1 < sig.t < p
+            and pow(sig.t, q, p) == 1 and 1 <= y_a < p):
+        return None
+    unblind = pow(sig.t, sig.s, p) * pow(y_a, -sig.r, p) % p
+    m = sig.c * pow(unblind, x_b, p) % p
+    return m if hash_to_zq(m, pow(unblind, -1, p), params, mode) == sig.r else None
+
+
+def recovered_or_none(params, y_a, x_b, sig, mode):
+    try:
+        return mr_recover_verify(params, y_a, x_b, sig, mode).value
+    except InvalidSignature:
+        return None
+
+
+def with_each_field_moved(sig):
+    """sig, then sig with each of t, c, r and s moved by -1 and by +1."""
+    yield sig
+    for field in ("t", "c", "r", "s"):
+        for delta in (-1, 1):
+            yield replace(sig, **{field: getattr(sig, field) + delta})
+
+
+def test_recover_equals_the_textbook_form_on_every_toy_signature(toy, toy_signer, toy_verifier):
+    """For every nonce pair and every message, and each field moved by one, the opening
+    recovers what c * (t**s * y_A**-r)**x_B does, and accepts exactly when it does."""
+    accepted = 0
+    for value in range(1, toy.p):
+        m = raw_message(value, toy)
+        for k1 in range(1, toy.q):
+            for k2 in range(toy.q):
+                sig = mr_sign(toy, toy_signer.x, toy_verifier.y, m, RecoveryNonces(k1, k2), STUB)
+                for variant in with_each_field_moved(sig):
+                    got = recovered_or_none(toy, toy_signer.y, toy_verifier.x, variant, STUB)
+                    assert got == textbook_recover(toy, toy_signer.y, toy_verifier.x, variant, STUB)
+                    accepted += got is not None
+    # Some moved fields accept too, so acceptance is compared beyond the 22 * 110 signatures.
+    assert accepted > 22 * 110
+
+
+@pytest.mark.parametrize("group, samples", [("wide", 12), ("big", 2)])
+def test_recover_equals_the_textbook_form_on_sampled_signatures(request, group, samples):
+    """The same, sampled, where t and y_A are powered from combs (on wide, with y_A's
+    table built) and at the full 2048/256 bits."""
+    params = request.getfixturevalue(group)
+    if group == "wide":
+        signer, verifier = request.getfixturevalue("wide_tabled")
+    else:
+        signer, verifier = (request.getfixturevalue(f"big_{role}") for role in ("signer", "verifier"))
+    rng = random.Random(31)
+    for _ in range(samples):
+        m = raw_message(rng.randrange(1, params.p), params)
+        sig = mr_sign(params, signer.x, verifier.y, m, random_nonces(params, rng))
+        for variant in with_each_field_moved(sig):
+            expected = textbook_recover(params, int(signer.y), verifier.x, variant, HashMode.PRODUCTION)
+            assert recovered_or_none(params, signer.y, verifier.x, variant, HashMode.PRODUCTION) == expected
+            assert (expected == m.value) if variant is sig else expected is None
 
 
 @given(st.integers(min_value=0, max_value=2**32))
