@@ -6,12 +6,15 @@ around the table crossover in modmath) it prints the builtin pow time,
 the comb-table evaluation time, the table build time and bytes, and
 the number of uses after which a build has paid for itself.  Each time
 is the median of REPEAT rounds of POWERS powers of g with random
-exponents below q.  Two last lines per group time what a
+exponents below q.  Three last lines per group time what a
 modmath.PerCallBase does, at its comb shape, when it is powered as the
 openers power t: build the per-call comb, then raise the base to q and
-to one random exponent (PV and UDVS) or to two (Lee-Chang, which also
-raises t to s*x_B), over PER_CALL_ROUNDS rounds; against as many
-builtin pows.  Run from the repository root:
+to no other exponent (a t that fails t**q = 1), to one random exponent
+(PV and UDVS) or to two (Lee-Chang, which also raises t to s*x_B), over
+PER_CALL_ROUNDS rounds; against as many builtin pows.  Those two sides differ by a few percent near the
+crossover, so they are timed interleaved, in a shuffled order, over
+PER_CALL_REPS reps, and each line gives the median of each side.  Run
+from the repository root:
 
     PYTHONPATH=src python3 scripts/modmath_layer.py
 """
@@ -25,11 +28,12 @@ from dvsig.groupparams import generate_params
 from dvsig.modmath import FixedBase, PerCallBase, _Comb
 
 # (q bits, p bits)
-SIZES = [(256, 2048), (64, 256), (48, 160), (16, 64)]
+SIZES = [(256, 2048), (64, 512), (64, 384), (64, 256), (48, 160), (16, 64)]
 SEED = 0x5EED2026
 POWERS = 50
 REPEAT = 7
 PER_CALL_ROUNDS = 10
+PER_CALL_REPS = 40
 
 
 def median_ms(fn, args) -> float:
@@ -68,7 +72,7 @@ def measure(q_bits: int, p_bits: int):
     repaid = f"{build / (builtin - comb):.1f} uses" if comb < builtin else "never"
     print(f"build repaid after: {repaid}")
 
-    for n in (2, 3):
+    for n in (1, 2, 3):
         print(per_call_line(params, exps, n))
 
 
@@ -86,7 +90,15 @@ def per_call_line(params, exps, n: int) -> str:
 
     if any(per_call(r) != builtin(r) for r in rounds):
         sys.exit("per-call comb power differs from the builtin pow")
-    comb, plain = median_ms(per_call, rounds), median_ms(builtin, rounds)
+    times = {per_call: [], builtin: []}
+    order = random.Random(SEED + n)
+    for _ in range(PER_CALL_REPS):
+        for fn in order.sample(list(times), len(times)):
+            t0 = perf_counter()
+            for r in rounds:
+                fn(r)
+            times[fn].append((perf_counter() - t0) / len(rounds))
+    comb, plain = (statistics.median(times[fn]) * 1000.0 for fn in (per_call, builtin))
     return (f"per-call comb {PerCallBase.rows}x{PerCallBase.blocks}, build + {n} powers:"
             f" {comb:.4f} ms; {n} builtin pows: {plain:.4f} ms ({plain / comb:.2f}x)")
 

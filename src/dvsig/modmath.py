@@ -21,13 +21,13 @@ base builds a table (8 rows, 4 blocks) whose powers take about a
 seventh of the time of the builtin pow at 2048 bits.  Saeednia's
 sds_verify and Lee-Chang's mr_simulate write their powers by the
 verifier's secret as powers of g and y_A, so they read these tables
-too, and Lee-Chang's mr_recover_verify takes its y_A**(-r*x_B) from
-y_A's.  Saeednia, Lee-Chang and PV signing and the three simulators take
-table powers only.  A PerCallBase builds a smaller comb (4 rows, 2
-blocks) at its first power; sdvs_mr._recover marks t and the UDVS e so,
-as it raises each to q and then to s or x_B, and Lee-Chang's t also to
-s*x_B.  Marking a value already
-of the form returns it unchanged, so the comb lives as long as the
+too, and Lee-Chang's mr_recover_verify takes its key test y_A**q = 1
+and its y_A**(-r*x_B) from y_A's.  Saeednia, Lee-Chang and PV signing
+and the three simulators take table powers only.  A PerCallBase builds
+a smaller comb (4 rows, 2 blocks) at its first power; sdvs_mr._recover
+marks t and the UDVS e so, as it raises each to q and then to s or
+x_B, and Lee-Chang's t also to s*x_B.  Marking a value already of the
+form returns it unchanged, so the comb lives as long as the
 residue that holds it: a t or e the opener marks goes when the call
 returns, while pv_scheme.PVSignature holds its t as a PerCallBase, so
 every opening of one PV signature, and of its designations, reads the
@@ -174,15 +174,13 @@ class PerCallBase(FixedBase):
     PVSignature's t, marked when the signature is made, keeps its comb
     for every opening of that signature (32 residues, about 9 KB at
     2048/256 bits).  There a build is 224 squarings and a power 32
-    squarings and at most 64 multiplications: a build and 2, 3 or 6
-    powers take 7.9, 9.8 or 15.3 ms, against 8.3, 10.6 or 17.8 ms with 4
-    rows and 1 block and 10.7, 16.1 or 32.0 ms of builtin pows (2-core
-    Xeon, Python 3.11).  A build and two powers, as PV and UDVS open t,
-    take 0.94 of the time of two builtin pows at 512 bits, 1.01 at 384
-    and 1.19 at 256; a build and three, as Lee-Chang opens t, 0.76, 0.83
-    and 0.99 (timed as in scripts/modmath_layer.py).  So, like a
-    FixedBase, it builds nothing below 512 bits.  A build and one power
-    take about 1.13 of one builtin pow at 2048 bits.
+    squarings and at most 64 multiplications.  In four runs of
+    scripts/modmath_layer.py (2-core Xeon, Python 3.11) a build and two
+    powers, as PV and UDVS open t, took 0.72-0.75 of the time of two
+    builtin pows at 2048 bits, 0.86-0.94 at 512, 0.92-0.99 at 384 and
+    1.08-1.20 at 256; a build and three, as Lee-Chang opens t,
+    0.60-0.62, 0.69-0.76, 0.75-0.83 and 0.86-0.95; a build and one, 1.11
+    at 2048.  Like a FixedBase, it builds nothing below 512 bits.
     """
 
     rows, blocks = 4, 2

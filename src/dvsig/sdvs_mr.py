@@ -22,14 +22,14 @@ towards y_B.  The private helpers below are the shared core: _sign,
 _recover (every check of the three verifiers, in one order, around one
 opening of g**-k2 from one t**s, one y_A**r and one modular inverse)
 and _simulate.  _recover powers t to q and to s and hands it to the
-unblinding, where Lee-Chang also raises it to s*x_B; the UDVS e goes to
-q, then to x_B.  So _recover holds both as modmath.PerCallBase: each
-builds a comb at its first power, and every later power reads it.  A
-plain-int field is marked for the length of the call; a PV signature's
-t is already marked, so its comb also serves every later opening of
-that signature and of its designations.  Lee-Chang's opening takes 5
-exponentiations, about 12 ms at 2048/256 bits with y_A tabled, where a
-builtin unblind**x_B took 4 and about 15 ms.
+unblinding, where Lee-Chang raises it to s*x_B; it powers the UDVS e to
+q, then to x_B.  So it holds both as modmath.PerCallBase, whose comb
+the first power builds and every later power reads.  A plain-int field
+is marked for the length of the call; a PV signature's t is already
+marked, so its comb also serves every later opening of that signature
+and of its designations.  Lee-Chang's opening takes 6 powers, 11.3 to
+11.8 ms at 2048/256 bits with y_A tabled (4 and 12.1 to 13.3 ms with a
+builtin unblind**x_B); see mr_recover_verify.
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1) and
 u = y_A**(w1**-1 * w2); the map (w1, w2) -> (k1, k2) =
@@ -105,10 +105,10 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
     a bare residue is no error.  t and e are held here as PerCallBase, so
     t**s, Lee-Chang's t**(s*x_B) and e**x_B read the combs that t**q and
     e**q built, and x_B reaches t or e only after its power to q has
-    passed.  A t that is already a
-    PerCallBase, as every PVSignature's is, keeps its comb: a later
-    opening of the same object powers t from it, to q and to s, without
-    building it again.  Every opening still takes every power.
+    passed.  A t that is already a PerCallBase, as every PVSignature's
+    is, keeps its comb: a later opening of the same object powers t from
+    it, to q and to s, without building it again.  Every opening still
+    takes every power.
     """
     p, q = params.p, params.q
     # Each is raised to q, then to s or x_B.
@@ -176,14 +176,19 @@ def mr_recover_verify(
     """Recover the message and verify in one step; needs the verifier secret.
 
     unblind**x_B is taken as t**(s*x_B) * y_A**(-r*x_B), exponents mod q,
-    from t's comb and y_A's table.  That is the textbook form for a signer
-    key in the order-q subgroup, which keys.validate_public checks where
-    a key enters; for a key outside it the two may differ.
+    from t's comb and y_A's table, so y_A**q = 1 is tested first: for a
+    y_A*h with h of small order l, each signature would give its signer
+    (-r*x_B mod q) mod l for a fresh known r, enough to recover all of x_B.
     """
     p, q = params.p, params.q
-    return _recover(params, signer_public, sig, ("c",),
-                    lambda _, t, __: sig.c * pow_in_subgroup(t, sig.s * verifier_secret, p, q) % p
-                    * pow_in_subgroup(signer_public, -sig.r * verifier_secret, p, q) % p, mode)
+
+    def unblinded(_, t, __):
+        if mod_exp(signer_public, q, p) != 1:
+            raise InvalidSignature("signer public key is not an order-q subgroup element")
+        return (sig.c * pow_in_subgroup(t, sig.s * verifier_secret, p, q) % p
+                * pow_in_subgroup(signer_public, -sig.r * verifier_secret, p, q) % p)
+
+    return _recover(params, signer_public, sig, ("c",), unblinded, mode)
 
 
 def mr_simulate(

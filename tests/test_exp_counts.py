@@ -65,10 +65,12 @@ def test_exponentiations_per_operation_at_full_size(big, exp_counter):
 def pinned_counts(params, exp_counter):
     """Pin each operation's count of exponentiations.
 
-    Lee-Chang recover takes 5: t**q, y_A**r, t**s, and the unblinding
-    (t**s * y_A**-r)**x_B as t**(s*x_B) * y_A**(-r*x_B), so that it reads
-    t's per-call comb and y_A's table instead of a builtin pow of a fresh
-    base, at the cost of one more exponentiation.
+    Lee-Chang recover takes 6: t**q, y_A**r, t**s, the test y_A**q = 1,
+    and the unblinding (t**s * y_A**-r)**x_B as t**(s*x_B) * y_A**(-r*x_B),
+    so that it reads t's per-call comb and y_A's table instead of a
+    builtin pow of a fresh base.  The split costs one more power, and the
+    key test another: with exponents mod q, a key outside the subgroup
+    would give its holder a fresh residue of x_B at every signature.
     """
     rng = random.Random(7)
     signer = keygen(params, rng)
@@ -89,7 +91,7 @@ def pinned_counts(params, exp_counter):
     lee, n = exp_counter(lambda: mr_sign(params, x_a, y_b, m, random_nonces(params, rng)))
     assert n == 3
     rec, n = exp_counter(lambda: mr_recover_verify(params, y_a, x_b, lee))
-    assert rec.value == m.value and n == 5
+    assert rec.value == m.value and n == 6
     _, n = exp_counter(lambda: mr_simulate(params, y_a, x_b, m, zq_star(), zq()))
     assert n == 3
 
@@ -193,9 +195,10 @@ def test_the_verifier_secret_reaches_e_only_after_its_subgroup_test(wide, monkey
 
 def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_tabled,
                                                                     monkeypatch):
-    """mr_recover_verify powers t by s*x_B only after t**q = 1 has passed, and never
-    otherwise.  With y_A's table answering, it raises only t, from the per-call comb that
-    t**q built, and y_A, from its table: the one builtin pow left is the modular inverse."""
+    """mr_recover_verify powers t by s*x_B only after t**q = 1 has passed, and y_A by
+    -r*x_B only after y_A**q = 1 has, and neither otherwise.  With y_A's table answering,
+    it raises only t, from the per-call comb that t**q built, and y_A, from its table: the
+    one builtin pow left is the modular inverse."""
     p, q = wide.p, wide.q
     signer, verifier = wide_tabled
     rng = random.Random(19)
@@ -219,13 +222,19 @@ def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_t
     monkeypatch.setattr(modmath, "pow", builtin_spy, raising=False)
     assert mr_recover_verify(wide, signer.y, verifier.x, sig).value == m.value
     assert powers.index((sig.t, sig.s * verifier.x % q)) > powers.index((sig.t, q))
-    assert len(powers) == 5 and builtin_exps == [-1]
+    assert powers.index((signer.y, -sig.r * verifier.x % q)) > powers.index((signer.y, q))
+    assert len(powers) == 6 and builtin_exps == [-1]
     for base, _ in powers:
         assert base is signer.y or (type(base) is modmath.PerCallBase and base == sig.t)
     powers.clear()
     with pytest.raises(InvalidSignature, match="t is not a nontrivial order-q subgroup element"):
         mr_recover_verify(wide, signer.y, verifier.x, outside)
     assert powers == [(outside.t, q)]
+    powers.clear()
+    with pytest.raises(InvalidSignature, match="signer public key is not an order-q subgroup"):
+        mr_recover_verify(wide, signer.y * h % p, verifier.x, sig)
+    assert powers[-1] == (signer.y * h % p, q)
+    assert all(exp in (q, sig.r, sig.s) for _, exp in powers)
 
 
 def test_saeednia_verify_and_lee_chang_simulate_power_only_tabled_bases(wide, wide_tabled,

@@ -36,5 +36,5 @@ def test_modmath_layer_tables_match_pow():
                           capture_output=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     headers = [line for line in done.stdout.decode().splitlines() if line.startswith("group:")]
-    assert headers == [f"group: {p_bits}/{q_bits} bits, seed 0x5eed2026"
-                       for q_bits, p_bits in ((256, 2048), (64, 256), (48, 160), (16, 64))]
+    sizes = ((256, 2048), (64, 512), (64, 384), (64, 256), (48, 160), (16, 64))
+    assert headers == [f"group: {p_bits}/{q_bits} bits, seed 0x5eed2026" for q_bits, p_bits in sizes]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import InvalidNonce, InvalidRandomness, InvalidSignature
+from dvsig.keys import keygen
 from dvsig.modmath import mod_inv
 from dvsig.msghash import HashMode, encode_message, hash_to_zq, raw_message
 from dvsig.sdvs_mr import (
@@ -179,6 +180,35 @@ def test_recover_equals_the_textbook_form_on_sampled_signatures(request, group, 
             expected = textbook_recover(params, int(signer.y), verifier.x, variant, HashMode.PRODUCTION)
             assert recovered_or_none(params, signer.y, verifier.x, variant, HashMode.PRODUCTION) == expected
             assert (expected == m.value) if variant is sig else expected is None
+
+
+@pytest.mark.parametrize("group, ell", [("toy", 2), ("midsize", 23)])
+def test_small_subgroup_signer_key_probe_rejects_every_guess(request, group, ell):
+    # Lim-Lee small-subgroup probe on the signer key: a signer who registers y_A * h, with
+    # h of prime order l dividing (p - 1) / q, signs with c * h**j; the textbook opening
+    # recovers m exactly when j = r * x_B mod l, so accepting it would leak x_B modulo l.
+    params = request.getfixturevalue(group)
+    p, q, g = params.p, params.q, params.g
+    assert (p - 1) // q % ell == 0
+    h = next(h for a in range(2, p) if (h := pow(a, (p - 1) // ell, p)) != 1)
+    rng = random.Random(23)
+    signer, verifier = keygen(params, rng), keygen(params, rng)
+    forged_key = signer.y * h % p
+    m = raw_message(7, params)
+    # The verifier reopens u = g**k2 * h**r, so r = H(m, u) needs k2 with a fixed point r mod l.
+    k2, r = next((k2, r) for k2 in range(1, q) for rho in range(ell)
+                 if (r := hash_to_zq(m.value, pow(g, k2, p) * pow(h, rho, p) % p, params, STUB))
+                 % ell == rho)
+    k1 = 2
+    t, s = pow(g, k1, p), mod_inv(k1, q) * (signer.x * r - k2) % q
+    accepted = []
+    for j in range(ell):
+        sig = RecoverySignature(t, m.value * pow(verifier.y, k2, p) * pow(h, j, p) % p, r, s)
+        if textbook_recover(params, forged_key, verifier.x, sig, STUB) == m.value:
+            accepted.append(j)
+        with pytest.raises(InvalidSignature, match="not an order-q subgroup element"):
+            mr_recover_verify(params, forged_key, verifier.x, sig, STUB)
+    assert accepted == [r * verifier.x % ell]  # the probe is live: without the key test it leaks
 
 
 @given(st.integers(min_value=0, max_value=2**32))
