@@ -28,8 +28,7 @@ the first power builds and every later power reads.  A plain-int field
 is marked for the length of the call; a PV signature's t is already
 marked, so its comb also serves every later opening of that signature
 and of its designations.  Lee-Chang's opening takes 6 powers, 11.3 to
-11.8 ms at 2048/256 bits with y_A tabled (4 and 12.1 to 13.3 ms with a
-builtin unblind**x_B); see mr_recover_verify.
+11.8 ms at 2048/256 bits with y_A tabled (4 and 12.1-13.3 ms before).
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1) and
 u = y_A**(w1**-1 * w2); the map (w1, w2) -> (k1, k2) =
