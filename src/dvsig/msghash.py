@@ -11,16 +11,30 @@ The hash H(m, u) -> Z_q comes in two modes: a production mode backed by
 SHA-256 with a fixed domain tag, and a hand-computable stub
 (m + u) mod q used by the worked vectors and the enumeration oracle.
 Both modes return values in [0, q).
+
+SHA-256 comes from the interpreter's builtin module (_sha256 up to
+Python 3.11, _sha2 from 3.12), as CPython's own random module takes its
+SHA-512: importing hashlib loads OpenSSL's libcrypto, about 3.6 MB
+resident in every process, for one short digest per sign or opening.
+hashlib is the fallback where that module is missing; both give the
+same digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MalformedEncoding, MessageTooLong, OutOfRange
 from .groupparams import GroupParams
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _HASH_TAG = b"DVS-H1"
 _PAYLOAD_PREFIX = 0x01
@@ -91,7 +105,7 @@ def hash_to_zq(m: int, u: int, params: GroupParams, mode: HashMode) -> int:
     """H(m, u) in [0, q) over residues already reduced mod p."""
     if mode is HashMode.STUB:
         return (m + u) % params.q
-    digest = hashlib.sha256()
+    digest = sha256()
     digest.update(_HASH_TAG)
     for value in (m, u):
         magnitude = value.to_bytes((value.bit_length() + 7) // 8, "big")

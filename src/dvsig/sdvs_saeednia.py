@@ -9,11 +9,14 @@ Verification recomputes c = (g**s * y_A**r)**(t * x_B) mod p and so
 needs the verifier's secret x_B: nobody else can even check validity.
 It computes c as g**(s*t*x_B) * y_A**(r*t*x_B), exponents mod q, so
 that both powers read the fixed-base tables of g and y_A
-(modmath.FixedBase): two exponentiations, not three.  That equals the
-textbook form for a signer key in the order-q subgroup, which is every
-key keygen makes; for a key outside it the two may differ.  The CLI
-tests every key it reads for membership of that subgroup
-(keys.validate_public); sds_verify itself checks only the key's range.
+(modmath.FixedBase).  That equals the textbook form only for a signer
+key in the order-q subgroup.  For a key y_A*h, with h of small order l,
+every accepted guess would hand its signer (r*t*x_B mod q) mod l for a
+known r and t, samples from which lattice reduction recovers all of x_B.
+So sds_verify first tests y_A**q = 1, from the same table, and rejects
+before x_B reaches any power: three exponentiations, where the textbook
+form also takes three but powers fresh bases.  The CLI has already made
+the same test on every key it reads (keys.validate_public).
 
 The verifier can also simulate signatures with the same distribution
 from randomness (s', r'), which is what makes transcripts worthless to
@@ -96,13 +99,15 @@ def sds_verify(
     """Check r = H(m, c) for c = g**(s*t*x_B) * y_A**(r*t*x_B) mod p; out-of-range fields fail.
 
     c is the textbook (g**s * y_A**r)**(t * x_B) for a signer key in the
-    order-q subgroup, which keys.validate_public checks where a key
-    enters; for a key outside it the two may differ.  A signer key
-    outside [1, p) fails, as it would otherwise verify as its residue
-    mod p does: one key, one encoding.
+    order-q subgroup, so a key with y_A**q != 1 fails before x_B reaches
+    any power: a table power of y_A, taken at every call, with no memo.
+    A signer key outside [1, p) fails, as it would otherwise verify as
+    its residue mod p does: one key, one encoding.
     """
     p, q = params.p, params.q
     if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q and 1 <= signer_public < p):
+        return False
+    if mod_exp(signer_public, q, p) != 1:
         return False
     tx = sig.t * verifier_secret
     g_part = pow_in_subgroup(params.g, sig.s * tx, p, q)

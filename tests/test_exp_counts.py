@@ -65,6 +65,10 @@ def test_exponentiations_per_operation_at_full_size(big, exp_counter):
 def pinned_counts(params, exp_counter):
     """Pin each operation's count of exponentiations.
 
+    Saeednia verify takes 3: the test y_A**q = 1, then g**(s*t*x_B) and
+    y_A**(r*t*x_B).  Its exponents of y_A are mod q, so, as for Lee-Chang,
+    a key outside the subgroup would hand its holder a residue of x_B.
+
     Lee-Chang recover takes 6: t**q, y_A**r, t**s, the test y_A**q = 1,
     and the unblinding (t**s * y_A**-r)**x_B as t**(s*x_B) * y_A**(-r*x_B),
     so that it reads t's per-call comb and y_A's table instead of a
@@ -84,7 +88,7 @@ def pinned_counts(params, exp_counter):
     sae, n = exp_counter(lambda: sds_sign(params, x_a, y_b, m, SaeedniaNonces(zq(), zq_star())))
     assert n == 1
     ok, n = exp_counter(lambda: sds_verify(params, y_a, x_b, m, sae))
-    assert ok and n == 2
+    assert ok and n == 3
     _, n = exp_counter(lambda: sds_simulate(params, y_a, x_b, m, zq(), zq_star()))
     assert n == 2
 
@@ -239,21 +243,24 @@ def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_t
 
 def test_saeednia_verify_and_lee_chang_simulate_power_only_tabled_bases(wide, wide_tabled,
                                                                         monkeypatch):
-    """sds_verify raises only g and y_A, and mr_simulate only y_A: FixedBase residues
-    whose tables answer, so no builtin pow of a fresh base is left in either."""
+    """sds_verify raises only y_A (to q, first) and then g and y_A, and mr_simulate only
+    y_A: FixedBase residues whose tables answer, so no builtin pow of a fresh base is left
+    in either."""
     signer, verifier = wide_tabled
     rng = random.Random(13)
     m = encode_message(b"spy", wide)
     sig = sds_sign_random(wide, signer.x, verifier.y, m, rng)
-    bases, power = [], modmath._power
+    bases, exps, power = [], [], modmath._power
 
     def spy(base, exp, modulus):
         bases.append(base)
+        exps.append(exp)
         return power(base, exp, modulus)
 
     monkeypatch.setattr(modmath, "_power", spy)
     assert sds_verify(wide, signer.y, verifier.x, m, sig)
-    assert len(bases) == 2 and bases[0] is wide.g and bases[1] is signer.y
+    assert len(bases) == 3 and exps[0] == wide.q
+    assert bases[0] is signer.y and bases[1] is wide.g and bases[2] is signer.y
     bases.clear()
     mr_simulate(wide, signer.y, verifier.x, m, sample_uniform(wide.q, True, rng),
                 sample_uniform(wide.q, False, rng))

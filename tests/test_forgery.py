@@ -15,10 +15,13 @@ Bao, ICALP 2005, delegation), picks a in Z_q and b in Z_q* and sets
 c = y_B**a * K**b, r = H(m, c), t = b/r and s = a/t.  No forger that
 needs no secret is known here for Saeednia, and none is claimed absent.
 
-Each forger runs on midsize from random.Random(1) with the production
-hash, and the designated verifier opens every forgery with its secret.
-As a control, the same forgeries are opened under a third party's
-signer key.  No scheme is changed here.  Criterion 4 of the acceptance
+Each forger runs on midsize from random.Random(1), and once at the full
+2048/256 bits, with the production hash, and the designated verifier
+opens every forgery with its secret.  As a control, the same forgeries
+are opened under a third party's signer key.  On toy23 the repo's own
+verifier-side simulator, sdvs_mr._simulate, needs y_A alone, and with
+c = m * u its PV forgeries form exactly the multiset of real PV
+signatures.  No scheme is changed here.  Criterion 4 of the acceptance
 suite draws uniformly random tuples, so it says nothing about these
 forgers.
 """
@@ -29,10 +32,13 @@ import pytest
 
 from dvsig.errors import InvalidSignature
 from dvsig.keys import keygen
-from dvsig.msghash import HashMode, encode_message, hash_to_zq, payload_capacity
-from dvsig.oracle import SCHEME_LEECHANG, SCHEME_PV, SCHEME_SAEEDNIA, SCHEME_UDVS, SCHEMES
+from dvsig.msghash import HashMode, encode_message, hash_to_zq, payload_capacity, raw_message
+from dvsig.oracle import (
+    SCHEME_LEECHANG, SCHEME_PV, SCHEME_SAEEDNIA, SCHEME_UDVS, SCHEMES, SignatureMultiset,
+    enumerate_real,
+)
 from dvsig.pv_scheme import PVSignature
-from dvsig.sdvs_mr import RecoverySignature
+from dvsig.sdvs_mr import RecoverySignature, _simulate
 from dvsig.sdvs_saeednia import SaeedniaSignature
 from dvsig.udvs import dsg
 
@@ -93,16 +99,41 @@ def opens_to(params, signer, verifier, m, sig, scheme):
         return False
 
 
-@pytest.mark.parametrize("scheme", list(FORGERS))
-def test_a_public_forger_is_accepted_every_time(midsize, scheme):
-    rng = random.Random(1)
-    signer, verifier, third = (keygen(midsize, rng) for _ in range(3))
-    public = {"y_a": signer.y, "y_b": verifier.y, "k": pow(verifier.y, signer.x, midsize.p)}
+def forge_and_open(params, scheme, forgeries, rng):
+    """(accepted by the designated verifier, accepted under a third party's signer key)."""
+    signer, verifier, third = (keygen(params, rng) for _ in range(3))
+    public = {"y_a": signer.y, "y_b": verifier.y, "k": pow(verifier.y, signer.x, params.p)}
     forge = FORGERS[scheme]
     accepted = under_third = 0
-    for _ in range(FORGERIES):
-        m = encode_message(rng.randbytes(rng.randrange(payload_capacity(midsize) + 1)), midsize)
-        sig = forge(midsize, public, m, rng)
-        accepted += opens_to(midsize, signer, verifier, m, sig, scheme)
-        under_third += opens_to(midsize, third, verifier, m, sig, scheme)
-    assert (accepted, under_third) == (FORGERIES, 0)
+    for _ in range(forgeries):
+        m = encode_message(rng.randbytes(rng.randrange(payload_capacity(params) + 1)), params)
+        sig = forge(params, public, m, rng)
+        accepted += opens_to(params, signer, verifier, m, sig, scheme)
+        under_third += opens_to(params, third, verifier, m, sig, scheme)
+    return accepted, under_third
+
+
+@pytest.mark.parametrize("scheme", list(FORGERS))
+def test_a_public_forger_is_accepted_every_time(midsize, scheme):
+    assert forge_and_open(midsize, scheme, FORGERIES, random.Random(1)) == (FORGERIES, 0)
+
+
+@pytest.mark.parametrize("scheme", list(FORGERS))
+def test_a_public_forger_is_accepted_at_full_size(big, scheme):
+    assert forge_and_open(big, scheme, 1, random.Random(1)) == (1, 0)
+
+
+def test_simulated_pv_forgeries_are_exactly_the_real_multiset(toy, toy_signer, toy_verifier):
+    """For every message on toy23, _simulate over all (w1, w2), with c = m * u, gives the
+    multiset of PV signatures that the signer makes over all (k1, k2): the forgeries look
+    exactly like real signatures."""
+    p, q = toy.p, toy.q
+    for value in range(1, p):
+        m = raw_message(value, toy)
+        forged = SignatureMultiset(SCHEME_PV)
+        for w1 in range(1, q):
+            for w2 in range(q):
+                t, u, r, s, _ = _simulate(toy, toy_signer.y, m, w1, w2, HashMode.STUB)
+                forged.add(PVSignature(t=t, c=value * u % p, r=r, s=s))
+        real = enumerate_real(toy, toy_signer, toy_verifier, m, SCHEME_PV)
+        assert forged.counts == real.counts and forged.total == (q - 1) * q, value

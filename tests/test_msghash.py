@@ -1,3 +1,11 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,3 +107,75 @@ def test_production_hash_deterministic_and_sensitive(big):
     assert a == b
     assert hash_to_zq(321, 18, big, HashMode.PRODUCTION) != a
     assert hash_to_zq(322, 17, big, HashMode.PRODUCTION) != a
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code, *argv, stdin=None):
+    """The last stdout line of a fresh interpreter running code, as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], capture_output=True, text=True,
+                          env=env, input=stdin, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_cli_process_signs_and_opens_without_loading_hashlib(tmp_path):
+    """hashlib would load OpenSSL's libcrypto; the production hash comes from the builtin
+    SHA-256 module, so a CLI process that signs and opens never imports it."""
+    code = """
+        import json, sys
+        from dvsig.cli import run
+        d = sys.argv[1]
+        codes = [run(argv.split()) for argv in (
+            f"params gen --preset toy23 --out {d}/toy.params",
+            f"keygen --params {d}/toy.params --seed 1 --out-secret {d}/a.sec --out-public {d}/a.pub",
+            f"keygen --params {d}/toy.params --seed 2 --out-secret {d}/b.sec --out-public {d}/b.pub",
+            f"sign --scheme saeednia --params {d}/toy.params --key {d}/a.sec --verifier-key {d}/b.pub"
+            f" --raw-residue 7 --seed 3 --out {d}/m.ssig",
+            f"verify --scheme saeednia --params {d}/toy.params --key {d}/b.sec --signer-key {d}/a.pub"
+            f" --raw-residue 7 --in {d}/m.ssig",
+        )]
+        print(json.dumps([codes, sorted({"hashlib", "_hashlib"} & set(sys.modules))]))
+    """
+    assert run_python(code, str(tmp_path)) == [[0, 0, 0, 0, 0], []]
+
+
+def known_answer(m, u, params):
+    """SHA-256 of the tag, then a 4-byte big-endian length and the big-endian magnitude of m,
+    then the same for u, reduced mod q."""
+    data = b"DVS-H1"
+    for value in (m, u):
+        magnitude = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        data += len(magnitude).to_bytes(4, "big") + magnitude
+    return int.from_bytes(hashlib.sha256(data).digest(), "big") % params.q
+
+
+def edge_pairs(params):
+    top = params.p - 1
+    return [(1, 1), (1, top), (top, 1), (top, top), (321, 17), (top // 3, top // 7)]
+
+
+def test_production_hash_matches_the_documented_encoding(big):
+    for m, u in edge_pairs(big):
+        assert hash_to_zq(m, u, big, HashMode.PRODUCTION) == known_answer(m, u, big), (m, u)
+
+
+def test_hashlib_fallback_gives_the_same_values(big):
+    """Without the builtin SHA-256 module, msghash imports sha256 from hashlib instead."""
+    code = """
+        import json, sys
+        sys.modules["_sha256"] = sys.modules["_sha2"] = None
+        import hashlib
+        from dvsig import msghash
+        from dvsig.groupparams import GroupParams
+        p, q, g, pairs = json.load(sys.stdin)
+        params = GroupParams(p=p, q=q, g=g)
+        values = [msghash.hash_to_zq(m, u, params, msghash.HashMode.PRODUCTION) for m, u in pairs]
+        print(json.dumps([msghash.sha256 is hashlib.sha256, values]))
+    """
+    pairs = edge_pairs(big)
+    fallback, values = run_python(code, stdin=json.dumps([big.p, big.q, big.g, pairs]))
+    assert fallback
+    assert values == [hash_to_zq(m, u, big, HashMode.PRODUCTION) for m, u in pairs]

@@ -133,6 +133,36 @@ def test_verify_from_tables_hashes_the_textbook_c(wide, wide_tabled, monkeypatch
         assert hashed == [c]
 
 
+@pytest.mark.parametrize("group, ell", [("toy", 2), ("midsize", 23)])
+def test_small_subgroup_signer_key_probe_rejects_every_guess(request, group, ell, monkeypatch):
+    # Lim-Lee small-subgroup probe on the signer key: a signer who registers y_A * h, with
+    # h of prime order l dividing (p - 1) / q, commits to c = y_B**k * h and varies t.  The
+    # textbook opening reaches c exactly when r * t * x_B = 1 mod l, so accepting it would
+    # leak x_B modulo l.
+    params = request.getfixturevalue(group)
+    p, q = params.p, params.q
+    assert (p - 1) // q % ell == 0 and ell < q
+    h = next(h for a in range(2, p) if (h := pow(a, (p - 1) // ell, p)) != 1)
+    rng = random.Random(23)
+    signer = keygen(params, rng)
+    verifier = next(key for key in iter(lambda: keygen(params, rng), None) if key.x % ell)
+    forged_key = signer.y * h % p
+    m = raw_message(7, params)
+    k, r = next((k, r) for k in range(q)
+                if (r := hash_to_zq(m.value, pow(verifier.y, k, p) * h % p, params, STUB)) % ell)
+    hashed = []
+    monkeypatch.setattr(sdvs_saeednia, "hash_to_zq", lambda *args: hashed.append(args))
+    accepted = []
+    for j in range(ell):
+        t = j or ell  # t = j mod l
+        sig = SaeedniaSignature(r, (k * pow(t, -1, q) - r * signer.x) % q, t)
+        if hash_to_zq(m.value, textbook_c(params, forged_key, verifier.x, sig), params, STUB) == r:
+            accepted.append(j)
+        assert not sds_verify(params, forged_key, verifier.x, m, sig, STUB)
+    assert hashed == []  # every guess stops at the key test, before x_B reaches a power
+    assert accepted == [pow(r * verifier.x, -1, ell)]  # the probe is live: without the test it leaks
+
+
 def test_simulate_worked_vector(toy, toy_signer, toy_verifier):
     m = raw_message(7, toy)
     sim = sds_simulate(toy, toy_signer.y, toy_verifier.x, m, 1, 2, STUB)
