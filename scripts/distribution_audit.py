@@ -42,10 +42,10 @@ def main():
     else:
         params = PRESETS[args.preset]
     assert validate_params(params).valid
-    signer = keygen(params, rng, role="signer")
-    verifier = keygen(params, rng, role="verifier")
+    signer = keygen(params, rng)
+    verifier = keygen(params, rng)
     while verifier.x == signer.x:
-        verifier = keygen(params, rng, role="verifier")
+        verifier = keygen(params, rng)
     m = raw_message(7, params)  # p >= 23 for every group this script can build
 
     print(f"group: p={params.p} q={params.q} g={params.g}")

@@ -244,10 +244,10 @@ def cmd_oracle(args) -> int:
     if params.q < 3:  # Z_q* would hold one secret, shared by both parties
         raise UsageError(f"the oracle needs q >= 3 for two distinct keys, not q = {params.q}")
     rng = _make_rng(args)
-    signer = keygen(params, rng, role="signer")
-    verifier = keygen(params, rng, role="verifier")
+    signer = keygen(params, rng)
+    verifier = keygen(params, rng)
     while verifier.x == signer.x:  # toy key spaces are tiny; keep the parties distinct
-        verifier = keygen(params, rng, role="verifier")
+        verifier = keygen(params, rng)
     message = raw_message(args.raw_residue, params)
     real = oraclemod.enumerate_real(params, signer, verifier, message, args.scheme)
     simulated = oraclemod.enumerate_simulated(params, signer, verifier, message, args.scheme)

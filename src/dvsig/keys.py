@@ -2,8 +2,11 @@
 
 Secret keys are only ever serialized into their own secret-key blobs;
 signature and parameter blobs never carry them.  A public key from
-outside the process is checked once, where it enters, by
-validate_public: the CLI does so for every key file it reads.
+outside the process is checked where it enters, by validate_public: the
+CLI does so for every key file it reads.  sds_verify and
+mr_recover_verify test y_A**q = 1 again, because they reduce exponents
+of y_A times x_B mod q and a library caller may hand them a key nobody
+checked; so a CLI opener of those two schemes makes the test twice.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def validate_public(params: GroupParams, y: int) -> None:
 
     A key outside that subgroup would let its holder learn a verifier's
     secret modulo the order of the key's small-order part, one guess per
-    signature.  At 2048/256 bits the power takes about 4 to 5 ms.
+    signature.  The test is one exponentiation.
     """
     p = params.p
     if not 1 < y < p:

@@ -17,23 +17,16 @@ modulus).  The comb lives and dies with the residue that owns it.
 
 There are two forms.  A FixedBase is long-lived: GroupParams.g,
 PublicKey.y and KeyPair.y mark themselves so, and at the 16th power a
-base builds a table (8 rows, 4 blocks) whose powers take about a
-seventh of the time of the builtin pow at 2048 bits.  Saeednia's
-sds_verify and Lee-Chang's mr_simulate write their powers by the
-verifier's secret as powers of g and y_A, so they read these tables
-too, and Lee-Chang's mr_recover_verify takes its key test y_A**q = 1
-and its y_A**(-r*x_B) from y_A's.  Saeednia, Lee-Chang and PV signing
-and the three simulators take table powers only.  A PerCallBase builds
-a smaller comb (4 rows, 2 blocks) at its first power; sdvs_mr._recover
-marks t and the UDVS e so, as it raises each to q and then to s or
-x_B, and Lee-Chang's t also to s*x_B.  Marking a value already of the
-form returns it unchanged, so the comb lives as long as the
-residue that holds it: a t or e the opener marks goes when the call
-returns, while pv_scheme.PVSignature holds its t as a PerCallBase, so
-every opening of one PV signature, and of its designations, reads the
-comb the first one built.  A process that loads its group and keys once
-per invocation, as the CLI does, powers each of them a few times and
-builds no table.
+base builds a table (8 rows, 4 blocks).  A PerCallBase builds a smaller
+comb (4 rows, 2 blocks) at its first power: sdvs_mr._recover marks t
+and the UDVS e so, because it raises each to q and then again.  Marking
+a value already of the form returns it unchanged, so the comb lives as
+long as the residue that holds it: a t or e the opener marks goes when
+the call returns, while pv_scheme.PVSignature holds its t as a
+PerCallBase, so every opening of one PV signature, and of its
+designations, reads the comb the first one built.  A process that loads
+its group and keys once per invocation, as the CLI does, powers each of
+them a few times and builds no table.
 
 There is no module state: no cache, no lock, no thread-local.  Two
 threads that power one base may both build its comb, which is
@@ -134,11 +127,11 @@ class FixedBase(int):
     """
 
     # Comb shape: an index combines `rows` exponent bits, and the table
-    # holds `blocks` blocks of 2**rows entries.  At 2048/256 bits a power
-    # costs 8 squarings and at most 32 multiplications (the builtin pow:
-    # about 256 and 128), 0.7 ms against 4.6 ms, and a table holds 1,024
-    # residues, 0.31 MB.  7 rows and 2 blocks would take 18 squarings and
-    # 38 multiplications, 1.1 ms, with a quarter of the memory and build.
+    # holds `blocks` blocks of 2**rows entries.  For a 256-bit exponent a
+    # power costs 8 squarings and at most 32 multiplications (the builtin
+    # pow: about 256 and 128), and a table holds 1,024 residues.  7 rows
+    # and 2 blocks would take 18 squarings and 38 multiplications, with a
+    # quarter of the memory and build.
     rows, blocks = 8, 4
     # A build costs about five builtin powers at 2048 bits; a CLI
     # invocation powers g and each key a few times, a long-lived signer
@@ -172,15 +165,15 @@ class PerCallBase(FixedBase):
     The comb lives as long as the residue: sdvs_mr._recover marks a t or
     e it is handed as a plain int for the length of one call, and a
     PVSignature's t, marked when the signature is made, keeps its comb
-    for every opening of that signature (32 residues, about 9 KB at
-    2048/256 bits).  There a build is 224 squarings and a power 32
-    squarings and at most 64 multiplications.  In four runs of
-    scripts/modmath_layer.py (2-core Xeon, Python 3.11) a build and two
-    powers, as PV and UDVS open t, took 0.72-0.75 of the time of two
-    builtin pows at 2048 bits, 0.86-0.94 at 512, 0.92-0.99 at 384 and
-    1.08-1.20 at 256; a build and three, as Lee-Chang opens t,
-    0.60-0.62, 0.69-0.76, 0.75-0.83 and 0.86-0.95; a build and one, 1.11
-    at 2048.  Like a FixedBase, it builds nothing below 512 bits.
+    for every opening of that signature (32 residues).  For a 256-bit
+    exponent a build is 224 squarings and a power 32 squarings and at
+    most 64 multiplications, so a build and the two powers that PV and
+    UDVS take of t, or the three of Lee-Chang, cost less than as many
+    builtin pows at 2048 bits; a t that fails t**q = 1 pays a build for
+    one power.  Like a FixedBase, it builds nothing below 512 bits: the
+    saving shrinks with the modulus, at 256 bits a build and two powers
+    are slower than two builtin pows, and no preset, workload or CLI
+    default uses such a group (scripts/modmath_layer.py times both sides).
     """
 
     rows, blocks = 4, 2

@@ -8,10 +8,11 @@ throughout so every collision is counted, not approximated.
 
 Also measures two floors on the same toy groups:
 
-* forgery: uniformly random signature tuples (each field over its own
-  range: t and UDVS's e in <g>, c and w in Z_p*, r and s in Z_q or Z_q*)
-  are accepted at no more than a small multiple of 1/q (the hash
-  equation filters them);
+* forgery: how often a uniformly random signature tuple (each field
+  over its own range: t and UDVS's e in <g>, c and w in Z_p*, r and s
+  in Z_q or Z_q*) is accepted.  It measures random tuples only: the
+  public forgers of the threat ledger (tests/test_threats.py) build t
+  from y_A and are accepted every time;
 * confidentiality: recovery under a wrong verifier secret returns the
   true message only when the blinding exponent was zero, and the hash
   check passes at most at the same 1/q-scale rate.

@@ -27,8 +27,8 @@ q, then to x_B.  So it holds both as modmath.PerCallBase, whose comb
 the first power builds and every later power reads.  A plain-int field
 is marked for the length of the call; a PV signature's t is already
 marked, so its comb also serves every later opening of that signature
-and of its designations.  Lee-Chang's opening takes 6 powers, 11.3 to
-11.8 ms at 2048/256 bits with y_A tabled (4 and 12.1-13.3 ms before).
+and of its designations.  Lee-Chang's opening takes 6 powers, one of
+them its key test y_A**q = 1 (see mr_recover_verify).
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1) and
 u = y_A**(w1**-1 * w2); the map (w1, w2) -> (k1, k2) =

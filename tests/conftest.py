@@ -47,12 +47,12 @@ def big():
 
 @pytest.fixture(scope="session")
 def big_signer(big):
-    return keygen(big, random.Random(101), role="signer")
+    return keygen(big, random.Random(101))
 
 
 @pytest.fixture(scope="session")
 def big_verifier(big):
-    return keygen(big, random.Random(202), role="verifier")
+    return keygen(big, random.Random(202))
 
 
 @pytest.fixture(scope="session")

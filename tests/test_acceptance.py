@@ -147,7 +147,7 @@ def test_criterion_3_indistinguishability():
 
 def test_criterion_4_unforgeability_floor(big, big_signer, big_verifier):
     """Uniformly random tuples only: it bounds how often a random tuple is accepted, and says
-    nothing about a forger who builds t from y_A (tests/test_forgery.py)."""
+    nothing about a forger who builds t from y_A (tests/test_threats.py)."""
     with criterion(4, "random tuples are rejected (toy <= 2/q, full-size: all)", budget=120.0):
         toy = TOY23
         m = raw_message(7, toy)
