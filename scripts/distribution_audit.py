@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Audit the distribution and floor claims on a toy group, exhaustively.
+"""Audit the distribution and floor claims on toy23, exhaustively.
 
 For each simulatable scheme: enumerate every signer randomness and every
 simulator randomness, compare the two signature multisets exactly, then
 measure the random-forgery acceptance rate and (for the recovery
-schemes) the wrong-key recovery census.
+schemes) the wrong-key recovery census.  Keys and forgery tuples come
+from random.Random(SEED); each scheme draws TRIALS tuples.
 """
 
-import argparse
 import random
 
-from dvsig.groupparams import PRESETS, generate_params, validate_params
+from dvsig.groupparams import TOY23, validate_params
 from dvsig.keys import keygen
 from dvsig.msghash import raw_message
 from dvsig.oracle import (
@@ -26,27 +26,19 @@ from dvsig.oracle import (
 )
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--preset", choices=sorted(PRESETS), default="toy23")
-    parser.add_argument("--q-bits", type=int, default=None,
-                        help="generate a fresh toy group instead of using the preset")
-    parser.add_argument("--p-bits", type=int, default=24)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=10_000)
-    args = parser.parse_args()
+SEED = 0
+TRIALS = 10_000
 
-    rng = random.Random(args.seed)
-    if args.q_bits is not None:
-        params = generate_params(args.q_bits, args.p_bits, rng)
-    else:
-        params = PRESETS[args.preset]
+
+def main():
+    rng = random.Random(SEED)
+    params = TOY23
     assert validate_params(params).valid
     signer = keygen(params, rng)
     verifier = keygen(params, rng)
     while verifier.x == signer.x:
         verifier = keygen(params, rng)
-    m = raw_message(7, params)  # p >= 23 for every group this script can build
+    m = raw_message(7, params)
 
     print(f"group: p={params.p} q={params.q} g={params.g}")
     print(f"keys: x_A={signer.x} x_B={verifier.x}   message: {m.value}\n")
@@ -64,7 +56,7 @@ def main():
     bound = 2 / params.q
     for scheme in SCHEMES:
         accepted, trials = forgery_acceptance(
-            params, signer, verifier, m, scheme, args.trials, rng
+            params, signer, verifier, m, scheme, TRIALS, rng
         )
         print(f"{scheme:10s} random-tuple acceptance {accepted}/{trials}"
               f" = {accepted / trials:.4f}  (bound {bound:.4f})")

@@ -66,7 +66,7 @@ import os
 import random
 import sys
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain, compress
 from math import isqrt
@@ -135,24 +135,33 @@ class _Pool:
         A batch writes the next task to each worker in turn, then reads
         every answer of the batch, and only then yields them; so when the
         caller stops early, no worker holds a task or an unread answer.
+        A write or read that finds a worker gone raises ChildProcessError
+        naming every worker's status.
         """
         tasks = iter(tasks)
         while batch := list(zip(self.procs, tasks)):
-            for proc, task in batch:
-                marshal.dump(task, proc.stdin)
-                proc.stdin.flush()
             try:
-                answers = [marshal.load(proc.stdout) for proc, _ in batch]
-            except EOFError:
+                for proc, task in batch:
+                    marshal.dump(task, proc.stdin)
+                    proc.stdin.flush()
+                answers = []
+                for proc, _ in batch:
+                    answers.append(marshal.load(proc.stdout))
+            except (BrokenPipeError, EOFError):  # proc closed its end of a pipe: it is exiting
+                proc.wait()
                 statuses = [proc.poll() for proc in self.procs]
-                raise RuntimeError(f"a Miller-Rabin worker exited; worker statuses {statuses}")
+                raise ChildProcessError(
+                    f"a Miller-Rabin worker exited; worker statuses {statuses}") from None
             yield from answers
 
     def close(self) -> None:
         for proc in self.procs:
             proc.kill()
+        for proc in self.procs:
             proc.wait()
-            proc.stdin.close()
+        for proc in self.procs:
+            with suppress(BrokenPipeError):  # a task left unflushed for a worker that died
+                proc.stdin.close()
             proc.stdout.close()
 
 
@@ -319,8 +328,6 @@ def prime_pair(q_bits: int, p_bits: int, rng: random.Random, max_attempts: int) 
             two_q = 2 * q
             k_min = ((1 << (p_bits - 1)) - 1) // two_q + 1
             k_max = ((1 << p_bits) - 2) // two_q
-            if k_max < k_min:
-                continue
             span = k_max - k_min + 1
             start = sample_uniform(span, False, rng) if span > 1 else 0
             # q is prime, so q is the one sieved prime without an inverse of 2q

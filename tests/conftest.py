@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,13 +27,13 @@ def toy():
 @pytest.fixture(scope="session")
 def toy_signer():
     # x = 3 -> y = 4**3 mod 23 = 18
-    return KeyPair(x=3, y=18, role="signer")
+    return KeyPair(x=3, y=18)
 
 
 @pytest.fixture(scope="session")
 def toy_verifier():
     # x = 5 -> y = 4**5 mod 23 = 12
-    return KeyPair(x=5, y=12, role="verifier")
+    return KeyPair(x=5, y=12)
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +75,16 @@ def wide_tabled(wide):
             mod_exp(base, wide.q - 1, wide.p)
         assert base.comb is not None and base.comb.width >= wide.q.bit_length()
     return pairs
+
+
+@pytest.fixture()
+def second_worker_exits(monkeypatch):
+    """The second process started (a pool's second worker) reads one task and exits with 3."""
+    real, started = subprocess.Popen, []
+    exiting = "import marshal, sys; marshal.load(sys.stdin.buffer); exit(3)"
+
+    def popen(args, **kwargs):
+        started.append(args)
+        return real([sys.executable, "-c", exiting] if len(started) == 2 else args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)

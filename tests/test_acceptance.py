@@ -35,8 +35,8 @@ from dvsig.udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_si
 STUB = HashMode.STUB
 PROD = HashMode.PRODUCTION
 
-SIGNER = KeyPair(x=3, y=18, role="signer")
-VERIFIER = KeyPair(x=5, y=12, role="verifier")
+SIGNER = KeyPair(x=3, y=18)
+VERIFIER = KeyPair(x=5, y=12)
 
 
 @contextmanager

@@ -65,6 +65,14 @@ def test_params_gen_on_the_pool_writes_a_valid_group(tmp_path, monkeypatch):
     assert validate_params(params).valid
 
 
+def test_params_gen_exits_2_when_a_pool_worker_exits(tmp_path, monkeypatch, capsys,
+                                                      second_worker_exits):
+    monkeypatch.setattr(primes, "_cpus", lambda: 2)
+    assert run(["params", "gen", "--q-bits", "160", "--p-bits", "1024", "--seed", "1",
+                "--out", str(tmp_path / "pooled.params")]) == 2
+    assert capsys.readouterr().err == "error: a Miller-Rabin worker exited; worker statuses [None, 3]\n"
+
+
 def test_params_check_accepts_and_rejects(tmp_path, capsys):
     good = tmp_path / "good.params"
     assert run(["params", "gen", "--preset", "toy23", "--out", str(good)]) == 0

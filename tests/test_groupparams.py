@@ -269,6 +269,30 @@ def test_an_abandoned_map_leaves_the_pool_ready():
     assert child_processes() == before
 
 
+@pytest.mark.parametrize("death, statuses", [("killed", [-9, None]), ("exits", [None, 3])],
+                         ids=["killed", "exits"])
+def test_a_dead_worker_stops_the_map_with_one_error_and_leaves_none(request, death, statuses):
+    """Worker 0 killed between batches fails the next write; worker 1 exiting once it has
+    read its task fails the read of its answer.  Either way the map raises one error that
+    names every worker's status, and closing the pool stops the worker still running."""
+    if death == "exits":
+        request.getfixturevalue("second_worker_exits")
+    before = child_processes()
+    pool = primes._Pool(2)
+    try:
+        rounds = pool.rounds([(2**127 - 1, a) for a in range(2, 8)])
+        if death == "killed":
+            assert next(rounds) is True
+            pool.procs[0].kill()
+            pool.procs[0].wait(timeout=10)
+        with pytest.raises(ChildProcessError) as raised:
+            list(rounds)
+        assert str(raised.value) == f"a Miller-Rabin worker exited; worker statuses {statuses}"
+    finally:
+        pool.close()
+    assert child_processes() == before
+
+
 def test_a_refused_full_size_modulus_leaves_no_worker(big):
     # q**8 is wide enough for the pool and has no factor below the trial-division limit
     composite = big.q**8

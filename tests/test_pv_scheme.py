@@ -70,17 +70,6 @@ def test_psv_matches_is_psv_and_compare_over_every_signature(toy, toy_signer):
     assert variants == (p - 1) * (q - 1) * q * (1 + 4 * p.bit_length())
 
 
-def test_exhaustive_round_trip(toy, toy_signer):
-    m = raw_message(7, toy)
-    count = 0
-    for k1 in range(1, toy.q):
-        for k2 in range(toy.q):
-            sig = psg(toy, toy_signer.x, m, RecoveryNonces(k1, k2), STUB)
-            assert psv(toy, toy_signer.y, sig, STUB).value == 7
-            count += 1
-    assert count == 110
-
-
 def test_blinding_identity_over_all_nonces(toy, toy_signer):
     # t**s * y_A**-r collapses to g**-k2 for every nonce pair
     m = raw_message(7, toy)

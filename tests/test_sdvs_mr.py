@@ -77,17 +77,6 @@ def test_simulate_rejects_zero_w1(toy, toy_signer, toy_verifier):
         mr_simulate(toy, toy_signer.y, toy_verifier.x, raw_message(7, toy), 0, 5, STUB)
 
 
-def test_exhaustive_round_trip(toy, toy_signer, toy_verifier):
-    m = raw_message(7, toy)
-    count = 0
-    for k1 in range(1, toy.q):
-        for k2 in range(toy.q):
-            sig = mr_sign(toy, toy_signer.x, toy_verifier.y, m, RecoveryNonces(k1, k2), STUB)
-            assert mr_recover_verify(toy, toy_signer.y, toy_verifier.x, sig, STUB).value == 7
-            count += 1
-    assert count == 110
-
-
 def test_simulator_bijection_onto_signer_nonces(toy, toy_signer, toy_verifier):
     # (w1, w2) -> (k1, k2) = (x_A * w1^-1, x_A * w1^-1 * w2) maps each simulated
     # signature onto the identical signer signature, tuple for tuple

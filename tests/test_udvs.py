@@ -8,8 +8,8 @@ from dvsig.errors import InvalidPVSignature, InvalidRandomness, InvalidSignature
 from dvsig.keys import keygen
 from dvsig.modmath import mod_exp, mod_inv, sample_uniform
 from dvsig.msghash import HashMode, encode_message, raw_message
-from dvsig.pv_scheme import PVSignature, psg, psv
-from dvsig.sdvs_mr import RecoveryNonces, random_nonces
+from dvsig.pv_scheme import PVSignature, psg
+from dvsig.sdvs_mr import random_nonces
 from dvsig.udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_simulate
 
 STUB = HashMode.STUB
@@ -100,31 +100,6 @@ def test_simulate_rejects_zero_w1(toy, toy_signer, toy_verifier):
     with pytest.raises(InvalidRandomness):
         dv_simulate(toy, toy_signer.y, toy_verifier.x, raw_message(7, toy),
                     SimulatorRandomness(0, 5, 4), STUB)
-
-
-def test_end_to_end_exhaustive(toy, toy_signer, toy_verifier):
-    # psg -> psv -> dsg -> dsv over all 10 * 11 * 11 = 1210 randomness triples
-    m = raw_message(7, toy)
-    count = 0
-    for k1 in range(1, toy.q):
-        for k2 in range(toy.q):
-            pv_sig = psg(toy, toy_signer.x, m, RecoveryNonces(k1, k2), STUB)
-            assert psv(toy, toy_signer.y, pv_sig, STUB).value == 7
-            for d in range(toy.q):
-                dv_sig = dsg(toy, toy_signer.y, toy_verifier.y, pv_sig, d, STUB)
-                assert dsv_recover(toy, toy_signer.y, toy_verifier.x, dv_sig, STUB).value == 7
-                count += 1
-    assert count == 1210
-
-
-def test_exhaustive_simulations_recover(toy, toy_signer, toy_verifier):
-    m = raw_message(7, toy)
-    for w1 in range(1, toy.q):
-        for w2 in range(toy.q):
-            for d in range(toy.q):
-                sim = dv_simulate(toy, toy_signer.y, toy_verifier.x, m,
-                                  SimulatorRandomness(w1, w2, d), STUB)
-                assert dsv_recover(toy, toy_signer.y, toy_verifier.x, sim, STUB).value == 7
 
 
 def test_verification_interface_requires_verifier_secret():
