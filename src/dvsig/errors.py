@@ -50,7 +50,7 @@ class GroupTooLarge(DVSError):
 
 
 class SchemeMismatch(DVSError):
-    """Two signature multisets with different scheme tags were compared."""
+    """Two signature multisets of different schemes or different moduli p were compared."""
 
 
 class Malformed(DVSError):

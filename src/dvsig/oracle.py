@@ -21,6 +21,10 @@ SCHEMES states once what sets the four schemes apart; the enumeration,
 the forgery floor, the wrong-key census and the CLI all read it.  One
 walk over a signer or simulator space, _signatures, yields the
 signatures that both multisets and the wrong-key census read.
+
+A multiset keys each signature by one int, its fields in field order in
+p.bit_length()-bit lanes, first field most significant: every field lies
+in [0, p), so keys are distinct and ascend as the field tuples do.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from operator import attrgetter
 from typing import Callable
 
@@ -137,9 +141,12 @@ SIMULATABLE_SCHEMES = tuple(name for name, entry in SCHEMES.items() if entry.sim
 
 @dataclass
 class SignatureMultiset:
-    """Occurrence counts of canonical signature tuples for one scheme."""
+    """Occurrence counts of one scheme's signatures, each under one int key: its fields in
+    field order, first most significant, in lanes of p.bit_length() bits.  decode inverts it.
+    """
 
     scheme: str
+    p: int
     counts: Counter = field(default_factory=Counter)
 
     @property
@@ -147,7 +154,18 @@ class SignatureMultiset:
         return sum(self.counts.values())
 
     def add(self, sig) -> None:
-        self.counts[_field_values(type(sig))(sig)] += 1
+        p, width, key = self.p, self.p.bit_length(), 0
+        for value in _field_values(type(sig))(sig):
+            if not 0 <= value < p:
+                raise ValueError(f"signature field {value} outside [0, {p}): {sig}")
+            key = key << width | value
+        self.counts[key] += 1
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        """The field tuple counted under key."""
+        width = self.p.bit_length()
+        lanes = range(len(fields(SCHEMES[self.scheme].sig_type)) - 1, -1, -1)
+        return tuple(key >> (width * lane) & ((1 << width) - 1) for lane in lanes)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +221,7 @@ def enumerate_real(
     refuses them (the simulator cannot reach them), so the real-side
     support is restricted to r != 0 by construction.
     """
-    out = SignatureMultiset(scheme)
+    out = SignatureMultiset(scheme, params.p)
     for _, sig in _signatures(params, signer, verifier, m, scheme):
         out.add(sig)
     return out
@@ -217,7 +235,7 @@ def enumerate_simulated(
     scheme: str,
 ) -> SignatureMultiset:
     """Signatures over every legal simulator randomness, under the stub hash."""
-    out = SignatureMultiset(scheme)
+    out = SignatureMultiset(scheme, params.p)
     for _, sig in _signatures(params, signer, verifier, m, scheme, simulated=True):
         out.add(sig)
     return out
@@ -225,12 +243,13 @@ def enumerate_simulated(
 
 def check_indistinguishable(a: SignatureMultiset, b: SignatureMultiset) -> DiffReport:
     """Exact multiset equality, with the first 10 differing tuples on mismatch."""
-    if a.scheme != b.scheme:
-        raise SchemeMismatch(f"cannot compare {a.scheme} against {b.scheme}")
-    lines = [f"only in {label} multiset: {sig_tuple} x{extra[sig_tuple]}"
+    if (a.scheme, a.p) != (b.scheme, b.p):
+        raise SchemeMismatch(f"cannot compare {a.scheme} mod {a.p} against {b.scheme} mod {b.p}")
+    diffs = ((label, key, extra[key])
              for label, extra in (("first", a.counts - b.counts), ("second", b.counts - a.counts))
-             for sig_tuple in sorted(extra)]
-    return DiffReport(equal=not lines, lines=lines[:10])
+             for key in sorted(extra))
+    lines = [f"only in {label} multiset: {a.decode(key)} x{n}" for label, key, n in islice(diffs, 10)]
+    return DiffReport(equal=not lines, lines=lines)
 
 
 def random_forgery(params: GroupParams, scheme: str, rng: random.Random):

@@ -1,4 +1,5 @@
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,19 @@ from dvsig.cli import build_parser, run
 from dvsig.groupparams import GroupParams, TOY23, validate_params
 from dvsig.keys import PublicKey
 from dvsig.pv_scheme import PVSignature
+from dvsig.sdvs_mr import RecoverySignature
 from dvsig.udvs import DVSignature
 
 STUBBED = ["--hash", "stub", "--allow-insecure"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def dvsig_process(argv, **kwargs):
+    """python -m dvsig in a child process that imports dvsig from this checkout's src,
+    whether or not dvsig is installed; stdout and stderr are captured."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dvsig", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs)
 
 
 @pytest.fixture()
@@ -255,7 +266,7 @@ def test_oracle_reports_a_distinguishable_pair(toyfiles, capsys, monkeypatch):
 
     def skewed(*args):
         simulated = enumerate_simulated(*args)
-        simulated.counts[(0, 0, 0, 0)] += 1
+        simulated.add(RecoverySignature(0, 0, 0, 0))
         return simulated
 
     monkeypatch.setattr(oracle, "enumerate_simulated", skewed)
@@ -271,10 +282,7 @@ def test_oracle_rejects_a_group_too_small_for_two_keys(tmp_path):
     params.write_text(wirefmt.armor(GroupParams(p=5, q=2, g=4)))
     assert run(["params", "check", "--in", str(params)]) == 0
     # a subprocess with a timeout, so that a key loop that cannot end fails here
-    oracle = subprocess.run(
-        [sys.executable, "-m", "dvsig", "oracle", "--scheme", "saeednia", "--params", str(params)],
-        capture_output=True, timeout=60,
-    )
+    oracle = dvsig_process(["oracle", "--scheme", "saeednia", "--params", str(params)])
     assert oracle.returncode == 2
     assert b"q >= 3" in oracle.stderr
 
@@ -294,12 +302,9 @@ def test_a_group_where_every_draw_is_degenerate_exits_two(tmp_path):
     for command, flags in commands.items():
         for residue, code in (("2", 2), ("1", 0)):
             # a subprocess with a timeout, so that a redraw loop that cannot end fails here
-            done = subprocess.run(
-                [sys.executable, "-m", "dvsig", command, "--scheme", "saeednia",
-                 "--params", str(params), *flags, "--raw-residue", residue,
-                 "--out", str(tmp_path / "out.sig")],
-                capture_output=True, timeout=60,
-            )
+            done = dvsig_process([command, "--scheme", "saeednia", "--params", str(params),
+                                  *flags, "--raw-residue", residue,
+                                  "--out", str(tmp_path / "out.sig")])
             assert done.returncode == code, (command, residue, done.stderr)
             if code == 2:
                 assert b"every one of the 2 draws" in done.stderr
@@ -577,8 +582,7 @@ def test_two_dash_files_in_one_direction_are_usage_errors(toyfiles):
          "--in", toyfiles["params"], *STUBBED],
     ]
     for argv in [two_outputs, *two_inputs]:
-        done = subprocess.run([sys.executable, "-m", "dvsig", *argv], input=params,
-                              capture_output=True, timeout=60)
+        done = dvsig_process(argv, input=params)
         assert done.returncode == 2, (argv, done.stderr)
         assert done.stdout == b""
         assert b"only one file argument can be '-'" in done.stderr
@@ -590,22 +594,15 @@ def test_help_exits_zero():
 
 
 def test_raw_blob_piping_between_processes(toyfiles):
-    sign = subprocess.run(
-        [sys.executable, "-m", "dvsig", "sign", "--scheme", "pv",
-         "--params", toyfiles["params"], "--key", toyfiles["signer_sec"],
-         "--raw-residue", "7", "--seed", "3", *STUBBED, "--out", "-"],
-        capture_output=True,
-    )
+    sign = dvsig_process(["sign", "--scheme", "pv",
+                          "--params", toyfiles["params"], "--key", toyfiles["signer_sec"],
+                          "--raw-residue", "7", "--seed", "3", *STUBBED, "--out", "-"])
     assert sign.returncode == 0
     blob = sign.stdout
     assert blob[:2] == bytes([0x01, 0x03])  # raw PV signature blob on stdout
-    verify = subprocess.run(
-        [sys.executable, "-m", "dvsig", "verify", "--scheme", "pv",
-         "--params", toyfiles["params"], "--signer-key", toyfiles["signer_pub"],
-         "--in", "-", *STUBBED],
-        input=blob,
-        capture_output=True,
-    )
+    verify = dvsig_process(["verify", "--scheme", "pv",
+                            "--params", toyfiles["params"], "--signer-key", toyfiles["signer_pub"],
+                            "--in", "-", *STUBBED], input=blob)
     assert verify.returncode == 0
     assert b"ACCEPT" in verify.stdout
 

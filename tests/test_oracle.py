@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, fields, replace
 
 import pytest
 from conftest import subgroup
@@ -22,6 +23,8 @@ from dvsig.oracle import (
     random_forgery,
     wrong_key_recovery_census,
 )
+from dvsig.pv_scheme import PVSignature
+from dvsig.sdvs_mr import RecoverySignature
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +47,32 @@ def test_scheme_mismatch_raises(toy, toy_signer, toy_verifier, m7):
     dv = enumerate_simulated(toy, toy_signer, toy_verifier, m7, SCHEME_UDVS)
     with pytest.raises(SchemeMismatch):
         check_indistinguishable(lee, dv)
+    with pytest.raises(SchemeMismatch):  # keys packed in another group's lanes
+        check_indistinguishable(lee, SignatureMultiset(SCHEME_LEECHANG, 47))
 
 
-def test_diff_report_lists_at_most_ten_tuples():
-    a = SignatureMultiset("leechang", Counter({(1, 2, 3, i): 1 for i in range(20)}))
-    b = SignatureMultiset("leechang", Counter({(9, 9, 9, i): 1 for i in range(20)}))
+def test_diff_report_lists_at_most_ten_tuples(toy):
+    """Ten lines: the first multiset's extras, then the second's, each in ascending tuple
+    order, with tuples that differ in more than their last field."""
+    firsts = [(f0, 2, 3, f3) for f0 in (1, 0) for f3 in (4, 0, 2)]
+    seconds = [(9, f1, 9, f3) for f1 in (2, 0, 1) for f3 in (1, 2, 0)]
+    a, b = SignatureMultiset("leechang", toy.p), SignatureMultiset("leechang", toy.p)
+    for multiset, tuples in ((a, firsts), (b, seconds)):
+        for sig_tuple in tuples:
+            multiset.add(RecoverySignature(*sig_tuple))
     report = check_indistinguishable(a, b)
     assert not report.equal
-    assert len(report.lines) == 10
-    assert all("only in" in line for line in report.lines)
+    assert report.lines == [f"only in first multiset: {t} x1" for t in sorted(firsts)] + [
+        f"only in second multiset: {t} x1" for t in sorted(seconds)[:4]]
 
 
-def test_diff_report_counts_multiplicity():
-    a = SignatureMultiset("pv", Counter({(1, 2, 3, 4): 3}))
-    b = SignatureMultiset("pv", Counter({(1, 2, 3, 4): 1}))
+def test_diff_report_counts_multiplicity(toy):
+    a, b = SignatureMultiset("pv", toy.p), SignatureMultiset("pv", toy.p)
+    for multiset, n in ((a, 3), (b, 1)):
+        for _ in range(n):
+            multiset.add(PVSignature(1, 2, 3, 4))
+    # toy23's p = 23 has 5 bits: one 5-bit lane per field, t most significant
+    assert a.counts == Counter({0b00001_00010_00011_00100: 3})
     report = check_indistinguishable(a, b)
     assert not report.equal
     assert report.lines == ["only in first multiset: (1, 2, 3, 4) x2"]
@@ -65,12 +80,36 @@ def test_diff_report_counts_multiplicity():
 
 @pytest.mark.parametrize("scheme", [SCHEME_SAEEDNIA, SCHEME_LEECHANG, SCHEME_PV, SCHEME_UDVS])
 def test_multiset_keys_are_the_field_tuples(toy, scheme):
-    """Each signature is counted under the tuple of its fields in field order."""
+    """Each signature is counted under one key, which decodes to the tuple of its fields in
+    field order.  A field outside [0, p) is refused, so no two signatures share a key."""
     sigs = [random_forgery(toy, scheme, random.Random(seed)) for seed in range(5)]
-    multiset = SignatureMultiset(scheme)
+    multiset = SignatureMultiset(scheme, toy.p)
     for sig in sigs:
         multiset.add(sig)
-    assert multiset.counts == Counter(astuple(sig) for sig in sigs)
+    assert Counter(map(multiset.decode, multiset.counts.elements())) == Counter(
+        astuple(sig) for sig in sigs)
+    for name in (f.name for f in fields(sigs[0])):
+        for value in (toy.p, -1):
+            with pytest.raises(ValueError):
+                multiset.add(replace(sigs[0], **{name: value}))
+    assert multiset.total == len(sigs)
+
+
+def test_enumeration_holds_at_most_128_bytes_per_signature():
+    """A q = 23 group with a 16-bit p (a generate_params(5, 16) output): the UDVS walk keeps
+    11,638 distinct signatures, and one packed int key each holds them in about 87 bytes
+    apiece; a tuple of five fields held about 194."""
+    params = GroupParams(p=50923, q=23, g=38806)
+    signer, verifier = (KeyPair(x=x, y=pow(params.g, x, params.p)) for x in (3, 5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        multiset = enumerate_real(params, signer, verifier, raw_message(7, params), SCHEME_UDVS)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert multiset.total == len(multiset.counts) == 11_638
+    assert held <= 128 * multiset.total
 
 
 def test_unknown_scheme_rejected(toy, toy_signer, toy_verifier, m7):

@@ -216,8 +216,8 @@ def test_toy_public_check_accepts_m_and_its_stub_twin(
     # The stub hash is (v + u) mod q, so v = 7 and v = 7 + q = 18 collide on toy23.
     multiset = source(toy, toy_signer, toy_verifier, raw_message(7, toy), scheme)
     known = knowledge(toy, "public", toy_signer, toy_verifier)
-    for fields in multiset.counts:
-        sig = SCHEMES[scheme].sig_type(*fields)
+    for key in multiset.counts:
+        sig = SCHEMES[scheme].sig_type(*multiset.decode(key))
         assert {v for v in range(1, toy.p) if accepts(toy, scheme, known, sig, v, STUB)} == {7, 18}
     assert multiset.total == total
 
@@ -229,7 +229,7 @@ def test_simulated_pv_forgeries_are_exactly_the_real_multiset(toy, toy_signer, t
     p, q = toy.p, toy.q
     for value in range(1, p):
         m = raw_message(value, toy)
-        forged = SignatureMultiset(SCHEME_PV)
+        forged = SignatureMultiset(SCHEME_PV, p)
         for w1 in range(1, q):
             for w2 in range(q):
                 t, u, r, s, _ = _simulate(toy, toy_signer.y, m, w1, w2, HashMode.STUB)
@@ -251,7 +251,7 @@ def test_every_toy_forgery_is_real_or_refused_at_t_1(
     counts = {"accepted": 0, "refused": 0}
     for value in range(1, toy.p):
         m = raw_message(value, toy)
-        forged = SignatureMultiset(scheme)
+        forged = SignatureMultiset(scheme, toy.p)
         for choice in product(*choices(scheme, toy.q)):
             try:
                 sig = forgery(toy, scheme, known, m, choice, STUB)
@@ -284,7 +284,8 @@ def test_every_toy_tuple_at_m_7(toy, toy_signer, toy_verifier, scheme, accepted,
     space = [ranges[kind] for kind in entry.forgery]
     found = {fields for fields in product(*space)
              if opens_to(toy, scheme, toy_signer, toy_verifier, m, entry.sig_type(*fields), STUB)}
-    real = enumerate_real(toy, toy_signer, toy_verifier, m, scheme).counts.keys()
+    multiset = enumerate_real(toy, toy_signer, toy_verifier, m, scheme)
+    real = set(map(multiset.decode, multiset.counts))
     extra = found - real
     assert (len(found), prod(map(len, space))) == (accepted, tuples)
     assert real <= found and len(extra) == r_zero and all(entry.sig_type(*f).r == 0 for f in extra)
