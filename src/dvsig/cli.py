@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import oracle as oraclemod
 from .errors import (DVSError, DegenerateHash, GenerationTimeout, GroupTooLarge, InvalidSignature,
-                     Malformed)
+                     Malformed, OutOfRange)
 from .groupparams import PRESETS, GroupParams, _shape_failures, generate_params, validate_params
 from .keys import PublicKey, SecretKey, keygen, validate_public
 from .msghash import HashMode, Message, encode_message, raw_message, recovered_message
@@ -116,6 +116,14 @@ def _refuse(args, names, context: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} does not apply to {context}")
 
 
+def _residue(value: int, params: GroupParams, flag: str) -> Message:
+    """The bare residue a flag gives; one outside [1, p) is a usage error, not a malformed file."""
+    try:
+        return raw_message(value, params)
+    except OutOfRange as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _message(args, params: GroupParams, file_attr: str, residue_attr: str) -> Message | None:
     """The message a file flag or a residue flag names; None for no expectation."""
     path, residue = getattr(args, file_attr, None), getattr(args, residue_attr, None)
@@ -123,7 +131,7 @@ def _message(args, params: GroupParams, file_attr: str, residue_attr: str) -> Me
         flags = " or ".join(f"--{name.replace('_', '-')}" for name in (file_attr, residue_attr))
         raise UsageError(f"give either {flags}, not both")
     if residue is not None:
-        return raw_message(residue, params)
+        return _residue(residue, params, f"--{residue_attr.replace('_', '-')}")
     if path is not None:
         return encode_message(_read_bytes(path), params)
     if file_attr == "message":
@@ -248,7 +256,7 @@ def cmd_oracle(args) -> int:
     verifier = keygen(params, rng)
     while verifier.x == signer.x:  # toy key spaces are tiny; keep the parties distinct
         verifier = keygen(params, rng)
-    message = raw_message(args.raw_residue, params)
+    message = _residue(args.raw_residue, params, "--raw-residue")
     real = oraclemod.enumerate_real(params, signer, verifier, message, args.scheme)
     simulated = oraclemod.enumerate_simulated(params, signer, verifier, message, args.scheme)
     report = oraclemod.check_indistinguishable(real, simulated)

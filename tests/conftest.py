@@ -1,13 +1,26 @@
+import os
 import random
 import subprocess
 import sys
+from collections import namedtuple
+from pathlib import Path
 
 import pytest
 
-from dvsig import modmath
+from dvsig import modmath, sdvs_mr, sdvs_saeednia
 from dvsig.groupparams import TOY23, generate_params
 from dvsig.keys import KeyPair, keygen
 from dvsig.modmath import FixedBase, mod_exp
+from dvsig.msghash import hash_to_zq
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """A child process's environment, with this checkout's src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def subgroup(params):
@@ -88,3 +101,39 @@ def second_worker_exits(monkeypatch):
         return real([sys.executable, "-c", exiting] if len(started) == 2 else args, **kwargs)
 
     monkeypatch.setattr(subprocess, "Popen", popen)
+
+
+Power = namedtuple("Power", "base exp modulus result")
+
+
+class Powers(list):
+    """Each exponentiation as a Power; called with an operation, (its result, its count)."""
+
+    def __call__(self, operation):
+        self.clear()
+        return operation(), len(self)
+
+    def take(self, count, operation):
+        """operation's result, once it took count exponentiations."""
+        result, taken = self(operation)
+        assert taken == count, (taken, count)
+        return result
+
+
+@pytest.fixture()
+def powers(monkeypatch):
+    """Every exponentiation: mod_exp and pow_in_subgroup both pass through modmath._power."""
+    calls, power = Powers(), modmath._power
+    monkeypatch.setattr(modmath, "_power",
+                        lambda *args: calls.append(Power(*args, power(*args))) or calls[-1].result)
+    return calls
+
+
+@pytest.fixture()
+def hashed(monkeypatch):
+    """The (m, u) of every hash the scheme modules take, in order."""
+    inputs = []
+    for module in (sdvs_mr, sdvs_saeednia):
+        monkeypatch.setattr(module, "hash_to_zq",
+                            lambda m, u, *rest: inputs.append((m, u)) or hash_to_zq(m, u, *rest))
+    return inputs

@@ -1,11 +1,11 @@
 import argparse
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from dvsig import oracle, primes, wirefmt
 from dvsig.cli import build_parser, run
 from dvsig.groupparams import GroupParams, TOY23, validate_params
@@ -15,15 +15,12 @@ from dvsig.sdvs_mr import RecoverySignature
 from dvsig.udvs import DVSignature
 
 STUBBED = ["--hash", "stub", "--allow-insecure"]
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dvsig_process(argv, **kwargs):
-    """python -m dvsig in a child process that imports dvsig from this checkout's src,
-    whether or not dvsig is installed; stdout and stderr are captured."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    """python -m dvsig in a child process (conftest.src_env); stdout and stderr are captured."""
     return subprocess.run([sys.executable, "-m", "dvsig", *argv], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60, **kwargs)
+                          env=src_env(), timeout=60, **kwargs)
 
 
 @pytest.fixture()
@@ -326,7 +323,7 @@ def test_a_composite_subgroup_order_exits_three_not_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("has no inverse mod 22") == 7
 
 
-def test_usage_errors_exit_two(toyfiles, tmp_path):
+def test_usage_errors_exit_two(toyfiles, tmp_path, capsys):
     # unknown scheme is an argparse-level usage error
     assert run(["sign", "--scheme", "bogus", "--params", toyfiles["params"],
                 "--key", toyfiles["signer_sec"], "--raw-residue", "7",
@@ -338,6 +335,14 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
     # missing message
     assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
                 "--key", toyfiles["signer_sec"], *STUBBED, "--out", str(tmp_path / "x")]) == 2
+    # a residue flag outside [1, p); an oversized --message file is malformed input (exit 3)
+    for residue in ("0", "23", "-1"):
+        assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"], "--key",
+                    toyfiles["signer_sec"], "--raw-residue", residue, *STUBBED, "--out", "-"]) == 2
+    assert run(["oracle", "--scheme", "leechang", "--params", toyfiles["params"],
+                "--raw-residue", "0"]) == 2
+    assert capsys.readouterr().err.splitlines()[-4:] == [
+        "error: --raw-residue: message residue must lie in [1, 22]"] * 4
     # missing counterparty key
     assert run(["sign", "--scheme", "saeednia", "--params", toyfiles["params"],
                 "--key", toyfiles["signer_sec"], "--raw-residue", "7", *STUBBED,
@@ -378,6 +383,7 @@ def test_usage_errors_exit_two(toyfiles, tmp_path):
     # PV carries its message, so a message given alongside would be ignored
     assert run([*pv, "--raw-residue", "8"]) == 2
     assert run([*pv, "--message", str(ssig)]) == 2
+    assert run([*pv, "--expect-residue", "0"]) == 2
     # both forms of the expectation, of which one would be ignored
     assert run([*pv, "--expect-message", str(ssig), "--expect-residue", "7"]) == 2
     # Saeednia recovers nothing, so there is nothing to print raw

@@ -10,7 +10,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from conftest import subgroup
+from conftest import src_env, subgroup
 from hypothesis import given, settings, strategies as st
 
 from dvsig import primes
@@ -308,8 +308,7 @@ def test_importing_the_package_and_its_cli_loads_no_pool():
     code = ("import sys, dvsig, dvsig.cli, dvsig.__main__; "
             "print(sorted(m for m in sys.modules if m == 'dvsig.primes' or m.split('.')[0] in "
             "('multiprocessing', 'concurrent', 'subprocess', 'pickle')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=src_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode() == "[]\n"
 

@@ -521,7 +521,7 @@ def test_a_kept_comb_too_narrow_for_q_leaves_the_opening_exact(big, big_signer):
     assert sig.t.comb is narrow
 
 
-def test_a_kept_comb_leaves_another_modulus_exact(big, big_signer, monkeypatch):
+def test_a_kept_comb_leaves_another_modulus_exact(big, big_signer, powers):
     """One PV object opened under a second 2048-bit group as well: its comb is bound to
     the first group's modulus, so the other group's openings take the builtin pow, and
     each opening, and each power of t in it, equals that of a plain-int copy."""
@@ -538,17 +538,11 @@ def test_a_kept_comb_leaves_another_modulus_exact(big, big_signer, monkeypatch):
     assert opened(big, big_signer.y, sig) == m.value
     comb = sig.t.comb
     assert comb.modulus == big.p
-    powers, power = [], modmath._power
-
-    def spy(base, exp, modulus):
-        result = power(base, exp, modulus)
-        if base is sig.t:
-            powers.append((modulus, result == pow(int(base), exp, modulus)))
-        return result
-
-    monkeypatch.setattr(modmath, "_power", spy)
+    powers.clear()
     for params in (other, big, other):
         assert opened(params, big_signer.y, sig) == opened(params, big_signer.y, plain(sig))
     assert opened(other, big_signer.y, sig) == "t is not a nontrivial order-q subgroup element"
-    assert [modulus for modulus, _ in powers] == [other.p, big.p, big.p, other.p, other.p]
-    assert all(exact for _, exact in powers) and sig.t.comb is comb
+    of_t = [power for power in powers if power.base is sig.t]
+    assert [power.modulus for power in of_t] == [other.p, big.p, big.p, other.p, other.p]
+    assert all(power.result == pow(int(power.base), power.exp, power.modulus) for power in of_t)
+    assert sig.t.comb is comb

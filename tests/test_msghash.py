@@ -1,14 +1,13 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import src_env
 from dvsig.errors import MalformedEncoding, MessageTooLong, OutOfRange
 from dvsig.msghash import (
     HashMode,
@@ -109,14 +108,10 @@ def test_production_hash_deterministic_and_sensitive(big):
     assert hash_to_zq(322, 17, big, HashMode.PRODUCTION) != a
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
 def run_python(code, *argv, stdin=None):
     """The last stdout line of a fresh interpreter running code, as JSON."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], capture_output=True, text=True,
-                          env=env, input=stdin, timeout=60)
+                          env=src_env(), input=stdin, timeout=60)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 

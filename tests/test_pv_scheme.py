@@ -1,14 +1,12 @@
-import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dvsig.errors import InvalidNonce, InvalidSignature
 from dvsig.modmath import pow_in_subgroup
-from dvsig.msghash import HashMode, Message, encode_message, raw_message
+from dvsig.msghash import HashMode, Message, raw_message
 from dvsig.pv_scheme import PVSignature, psg, psv, psv_matches
-from dvsig.sdvs_mr import RecoveryNonces, random_nonces
+from dvsig.sdvs_mr import RecoveryNonces
 
 STUB = HashMode.STUB
 
@@ -29,11 +27,6 @@ def test_psv_recovers_from_public_values_only(toy, toy_signer):
     sig = PVSignature(t=16, c=11, r=3, s=3)
     rec = psv(toy, toy_signer.y, sig, STUB)  # no secret key anywhere in the call
     assert rec.value == 7
-
-
-def test_psv_rejects_flipped_r(toy, toy_signer):
-    with pytest.raises(InvalidSignature):
-        psv(toy, toy_signer.y, PVSignature(t=16, c=11, r=4, s=3), STUB)
 
 
 def test_psv_matches_compares_claimed_message(toy, toy_signer):
@@ -79,23 +72,3 @@ def test_blinding_identity_over_all_nonces(toy, toy_signer):
             sig = psg(toy, toy_signer.x, m, RecoveryNonces(k1, k2), STUB)
             lhs = pow_in_subgroup(sig.t, sig.s, p, q) * pow_in_subgroup(toy_signer.y, -sig.r, p, q) % p
             assert lhs == pow_in_subgroup(toy.g, -k2, p, q)
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=25, deadline=None)
-def test_random_nonce_round_trip(toy, toy_signer, seed):
-    rng = random.Random(seed)
-    m = raw_message(1 + seed % (toy.p - 1), toy)
-    sig = psg(toy, toy_signer.x, m, random_nonces(toy, rng), STUB)
-    assert psv(toy, toy_signer.y, sig, STUB).value == m.value
-
-
-def test_full_size_payload_round_trip(big, big_signer):
-    rng = random.Random(88)
-    payload = b"anyone can read this stage"
-    m = encode_message(payload, big)
-    sig = psg(big, big_signer.x, m, random_nonces(big, rng))
-    rec = psv(big, big_signer.y, sig)
-    assert rec.payload == payload
-    with pytest.raises(InvalidSignature):
-        psv(big, big_signer.y, PVSignature(sig.t, sig.c, sig.r ^ 1, sig.s))

@@ -7,12 +7,13 @@ in-process with one timing round and one interleaved rep.
 
 import hashlib
 import importlib.util
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,9 +25,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("script", GOLDEN)
 def test_script_output_is_unchanged(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
-                          capture_output=True, env=env, timeout=300)
+                          capture_output=True, env=src_env(), timeout=300)
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN[script]
 

@@ -1,13 +1,14 @@
 import inspect
 import random
+from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import textbook
 from dvsig.errors import InvalidPVSignature, InvalidRandomness, InvalidSignature
 from dvsig.keys import keygen
-from dvsig.modmath import mod_exp, mod_inv, sample_uniform
-from dvsig.msghash import HashMode, encode_message, raw_message
+from dvsig.modmath import sample_uniform
+from dvsig.msghash import HashMode, raw_message
 from dvsig.pv_scheme import PVSignature, psg
 from dvsig.sdvs_mr import random_nonces
 from dvsig.udvs import DVSignature, SimulatorRandomness, dsg, dsv_recover, dv_simulate
@@ -40,28 +41,10 @@ def test_dsv_worked_vector(toy, toy_signer, toy_verifier):
     assert rec.value == 7
 
 
-def test_dsv_rejects_tampered_w(toy, toy_signer, toy_verifier):
-    sig = DVSignature(t=16, w=6, r=3, s=3, e=8)
-    with pytest.raises(InvalidSignature):
-        dsv_recover(toy, toy_signer.y, toy_verifier.x, sig, STUB)
-
-
 def test_dsv_rejects_wrong_verifier_secret(toy, toy_signer):
     sig = DVSignature(t=16, w=5, r=3, s=3, e=8)
     with pytest.raises(InvalidSignature):
         dsv_recover(toy, toy_signer.y, 4, sig, STUB)
-
-
-def test_dsv_rejects_out_of_range_fields(toy, toy_signer, toy_verifier):
-    bad = [
-        DVSignature(t=1, w=5, r=3, s=3, e=8),
-        DVSignature(t=16, w=0, r=3, s=3, e=8),
-        DVSignature(t=16, w=5, r=3, s=3, e=0),
-        DVSignature(t=16, w=5, r=11, s=3, e=8),
-    ]
-    for sig in bad:
-        with pytest.raises(InvalidSignature):
-            dsv_recover(toy, toy_signer.y, toy_verifier.x, sig, STUB)
 
 
 @pytest.mark.parametrize("group, ell", [("toy", 2), ("midsize", 23)])
@@ -71,19 +54,17 @@ def test_forged_e_probe_rejects_every_guess(request, group, ell):
     # it would leak x_B modulo l.
     params = request.getfixturevalue(group)
     p = params.p
-    assert (p - 1) // params.q % ell == 0
-    h = next(h for a in range(2, p) if (h := mod_exp(a, (p - 1) // ell, p)) != 1)
+    h = textbook.small_order_element(params, ell)
     rng = random.Random(23)
     signer, verifier = keygen(params, rng), keygen(params, rng)
     m = raw_message(7, params)
     pv_sig = psg(params, signer.x, m, random_nonces(params, rng), STUB)
     sig = dsg(params, signer.y, verifier.y, pv_sig, sample_uniform(params.q, False, rng), STUB)
-    opened = mod_exp(sig.t, sig.s, p) * mod_inv(mod_exp(signer.y, sig.r, p), p) % p
     leaks = 0
     for j in range(ell):
-        forged = DVSignature(t=sig.t, w=sig.w * mod_inv(mod_exp(h, j, p), p) % p,
+        forged = DVSignature(t=sig.t, w=sig.w * pow(h, -j, p) % p,
                              r=sig.r, s=sig.s, e=sig.e * h % p)
-        leaks += forged.w * opened * mod_exp(forged.e, verifier.x, p) % p == m.value
+        leaks += textbook.recover(params, "udvs", signer.y, verifier.x, astuple(forged))[0] == m.value
         with pytest.raises(InvalidSignature):
             dsv_recover(params, signer.y, verifier.x, forged, STUB)
     assert leaks == 1  # the probe is live: without the e check one guess passes
@@ -104,30 +85,3 @@ def test_simulate_rejects_zero_w1(toy, toy_signer, toy_verifier):
 
 def test_verification_interface_requires_verifier_secret():
     assert "verifier_secret" in inspect.signature(dsv_recover).parameters
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=25, deadline=None)
-def test_random_designation_round_trip(toy, toy_signer, toy_verifier, seed):
-    rng = random.Random(seed)
-    m = raw_message(1 + seed % (toy.p - 1), toy)
-    pv_sig = psg(toy, toy_signer.x, m, random_nonces(toy, rng), STUB)
-    dv_sig = dsg(toy, toy_signer.y, toy_verifier.y, pv_sig, sample_uniform(toy.q, False, rng), STUB)
-    assert dsv_recover(toy, toy_signer.y, toy_verifier.x, dv_sig, STUB).value == m.value
-
-
-def test_full_size_flow(big, big_signer, big_verifier):
-    rng = random.Random(99)
-    payload = b"for the designated reader only"
-    m = encode_message(payload, big)
-    pv_sig = psg(big, big_signer.x, m, random_nonces(big, rng))
-    d = sample_uniform(big.q, False, rng)
-    dv_sig = dsg(big, big_signer.y, big_verifier.y, pv_sig, d)
-    rec = dsv_recover(big, big_signer.y, big_verifier.x, dv_sig)
-    assert rec.payload == payload
-    sim = dv_simulate(big, big_signer.y, big_verifier.x, m,
-                      SimulatorRandomness(
-                          w1=sample_uniform(big.q, True, rng),
-                          w2=sample_uniform(big.q, False, rng),
-                          d=sample_uniform(big.q, False, rng)))
-    assert dsv_recover(big, big_signer.y, big_verifier.x, sim).payload == payload
