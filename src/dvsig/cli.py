@@ -7,7 +7,8 @@ one "-" each way; named files are written armored.  Commands that load
 --params refuse (exit 3) a group failing q >= 2, q | p - 1 or 1 < g < p,
 the checks that need no exponentiation; `params check` runs them all.
 Every --signer-key and --verifier-key is refused (exit 3) unless its key
-is an order-q element in (1, p) (keys.validate_public).
+is an order-q element in (1, p), and keygen writes no other key
+(keys.validate_public); no opener tests a loaded key again.
 
 Exit codes: 0 success/accept, 1 verification reject, 2 usage error,
 3 malformed input.
@@ -82,10 +83,9 @@ def _load_public(path: str | None, params: GroupParams, flag: str) -> PublicKey:
     """The public key in path, malformed unless it is an order-q element in (1, p)."""
     key = _load(path, PublicKey, flag)
     try:
-        validate_public(params, key.y)
+        return PublicKey(validate_public(params, key.y))
     except Malformed as exc:
         raise Malformed(f"{flag}: {exc}") from None
-    return key
 
 
 def _one_dash_each_way(args) -> None:

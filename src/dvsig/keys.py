@@ -1,12 +1,11 @@
 """Key material: a secret exponent in Z_q* and its public group element.
 
 Secret keys are only ever serialized into their own secret-key blobs;
-signature and parameter blobs never carry them.  A public key from
-outside the process is checked where it enters, by validate_public: the
-CLI does so for every key file it reads.  sds_verify and
-mr_recover_verify test y_A**q = 1 again, because they reduce exponents
-of y_A times x_B mod q and a library caller may hand them a key nobody
-checked; so a CLI opener of those two schemes makes the test twice.
+signature and parameter blobs never carry them.  Every opener asks
+in_subgroup whether its signer key is an order-q element; keygen and the
+CLI make every key through validate_public, as a SubgroupKey, which
+in_subgroup passes without a power: so each key is tested once, and an
+opener's count of powers depends only on the type of key it is handed.
 """
 
 from __future__ import annotations
@@ -57,21 +56,34 @@ def derive_public(params: GroupParams, x: int) -> int:
     return mod_exp(params.g, x, params.p)
 
 
-def validate_public(params: GroupParams, y: int) -> None:
-    """Raise Malformed unless y lies in (1, p) and y**q = 1: a nontrivial order-q element.
+class SubgroupKey(FixedBase):
+    """A public key that validate_public found in the order-q subgroup of `group`, its (p, q)."""
+
+    group = None
+
+
+def in_subgroup(params: GroupParams, y: int) -> bool:
+    """y**q = 1 mod p: without a power for a SubgroupKey of this (p, q), else with one."""
+    p, q = params.p, params.q
+    return (isinstance(y, SubgroupKey) and y.group == (p, q)) or mod_exp(y, q, p) == 1
+
+
+def validate_public(params: GroupParams, y: int) -> SubgroupKey:
+    """y as a SubgroupKey, or Malformed unless it lies in (1, p) and in_subgroup.
 
     A key outside that subgroup would let its holder learn a verifier's
-    secret modulo the order of the key's small-order part, one guess per
-    signature.  The test is one exponentiation.
+    secret modulo the order of its small-order part, one guess per signature.
     """
-    p = params.p
-    if not 1 < y < p:
+    if not 1 < y < params.p:
         raise Malformed("public key outside (1, p)")
-    if mod_exp(y, params.q, p) != 1:
+    if not in_subgroup(params, y):
         raise Malformed("public key is not an order-q subgroup element")
+    key = SubgroupKey(int(y))
+    key.group = params.p, params.q
+    return key
 
 
 def keygen(params: GroupParams, rng: random.Random, role: str = "") -> KeyPair:
-    """Fresh key pair with x uniform in [1, q-1]."""
+    """Fresh key pair with x uniform in [1, q-1]; Malformed where g**x fails validate_public."""
     x = sample_uniform(params.q, True, rng)
-    return KeyPair(x=x, y=derive_public(params, x), role=role)
+    return KeyPair(x=x, y=validate_public(params, derive_public(params, x)), role=role)

@@ -120,10 +120,10 @@ class _Comb:
 class FixedBase(int):
     """A residue that powers itself from its own Lim-Lee comb, once it has been powered enough.
 
-    Constructing one from a value of the same class returns that value,
-    so its comb is shared.  The comb is built at the `after`-th power
-    and is bound to the modulus of that power; _power asks for it only
-    modulo _TABLE_MIN_MODULUS or more.
+    Constructing one from an instance of its class, a subclass's
+    included, returns that value, so its comb is shared.  The comb is
+    built at the `after`-th power and is bound to the modulus of that
+    power; _power asks for it only modulo _TABLE_MIN_MODULUS or more.
     """
 
     # Comb shape: an index combines `rows` exponent bits, and the table
@@ -141,7 +141,7 @@ class FixedBase(int):
     comb, uses, width = None, 0, 0
 
     def __new__(cls, value: int):
-        return value if type(value) is cls else super().__new__(cls, value)
+        return value if isinstance(value, cls) else super().__new__(cls, value)
 
     def comb_for(self, exp: int, modulus: int) -> _Comb | None:
         """The comb that raises self to exp modulo modulus, or None.

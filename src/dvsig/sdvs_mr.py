@@ -27,8 +27,8 @@ q, then to x_B.  So it holds both as modmath.PerCallBase, whose comb
 the first power builds and every later power reads.  A plain-int field
 is marked for the length of the call; a PV signature's t is already
 marked, so its comb also serves every later opening of that signature
-and of its designations.  Lee-Chang's opening takes 6 powers, one of
-them its key test y_A**q = 1 (see mr_recover_verify).
+and of its designations.  Lee-Chang's opening takes 5 powers, 6 for a
+signer key that keys.in_subgroup must test (see _recover).
 
 The verifier simulates from (w1, w2) via t = y_A**(w1**-1) and
 u = y_A**(w1**-1 * w2); the map (w1, w2) -> (k1, k2) =
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidNonce, InvalidRandomness, InvalidSignature
 from .groupparams import GroupParams
+from .keys import in_subgroup
 from .modmath import ZQ, ZQ_STAR, PerCallBase, mod_exp, mod_inv, pow_in_subgroup, sample_space
 from .msghash import HashMode, Message, hash_to_zq, recovered_message
 
@@ -98,10 +99,13 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
 
     In order: r and s must lie in [0, q), each named unit field in
     [1, p), t in the order-q subgroup without 1, e (where named) in that
-    subgroup and y_A in [1, p).  Then g**-k2 = t**s * y_A**-r opens the
-    signature, value(g**-k2, t, e) unblinds the message (e is None unless
-    named), and r = H(m, g**k2) accepts it, as msghash.recovered_message(m):
-    a bare residue is no error.  t and e are held here as PerCallBase, so
+    subgroup and y_A in [1, p) and in that subgroup (keys.in_subgroup), as
+    Lee-Chang raises y_A to -r*x_B mod q: for a y_A*h, h of small order l,
+    each signature would hand its signer (-r*x_B mod q) mod l, enough to
+    recover all of x_B.  Then g**-k2 = t**s * y_A**-r opens the signature,
+    value(g**-k2, t, e) unblinds the message (e is None unless named),
+    and r = H(m, g**k2) accepts it, as msghash.recovered_message(m): a
+    bare residue is no error.  t and e are held here as PerCallBase, so
     t**s, Lee-Chang's t**(s*x_B) and e**x_B read the combs that t**q and
     e**q built, and x_B reaches t or e only after its power to q has
     passed.  A t that is already a PerCallBase, as every PVSignature's
@@ -124,6 +128,8 @@ def _recover(params: GroupParams, signer_public: int, sig, units, value, mode: H
     # Outside [1, p) y_A**r can be 0, which has no inverse.
     if not 1 <= signer_public < p:
         raise InvalidSignature("signer public key outside [1, p)")
+    if not in_subgroup(params, signer_public):
+        raise InvalidSignature("signer public key is not an order-q subgroup element")
     y_r = pow_in_subgroup(signer_public, sig.r, p, q)
     t_s = pow_in_subgroup(t, sig.s, p, q)
     # Montgomery's trick: one inverse of t**s * y_A**r gives g**-k2 = t**s * y_A**-r
@@ -175,19 +181,12 @@ def mr_recover_verify(
     """Recover the message and verify in one step; needs the verifier secret.
 
     unblind**x_B is taken as t**(s*x_B) * y_A**(-r*x_B), exponents mod q,
-    from t's comb and y_A's table, so y_A**q = 1 is tested first: for a
-    y_A*h with h of small order l, each signature would give its signer
-    (-r*x_B mod q) mod l for a fresh known r, enough to recover all of x_B.
+    from t's comb and y_A's table, for a y_A that _recover has tested.
     """
     p, q = params.p, params.q
-
-    def unblinded(_, t, __):
-        if mod_exp(signer_public, q, p) != 1:
-            raise InvalidSignature("signer public key is not an order-q subgroup element")
-        return (sig.c * pow_in_subgroup(t, sig.s * verifier_secret, p, q) % p
-                * pow_in_subgroup(signer_public, -sig.r * verifier_secret, p, q) % p)
-
-    return _recover(params, signer_public, sig, ("c",), unblinded, mode)
+    return _recover(params, signer_public, sig, ("c",), lambda _, t, __: (
+        sig.c * pow_in_subgroup(t, sig.s * verifier_secret, p, q) % p
+        * pow_in_subgroup(signer_public, -sig.r * verifier_secret, p, q) % p), mode)
 
 
 def mr_simulate(

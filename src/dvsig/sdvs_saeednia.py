@@ -13,10 +13,10 @@ that both powers read the fixed-base tables of g and y_A
 key in the order-q subgroup.  For a key y_A*h, with h of small order l,
 every accepted guess would hand its signer (r*t*x_B mod q) mod l for a
 known r and t, samples from which lattice reduction recovers all of x_B.
-So sds_verify first tests y_A**q = 1, from the same table, and rejects
-before x_B reaches any power: three exponentiations, where the textbook
-form also takes three but powers fresh bases.  The CLI has already made
-the same test on every key it reads (keys.validate_public).
+So sds_verify first asks keys.in_subgroup, and rejects before x_B
+reaches any power: two exponentiations for a keys.SubgroupKey, as keygen
+and the CLI make, and three for any other key, where the textbook form
+takes three of fresh bases.
 
 The verifier can also simulate signatures with the same distribution
 from randomness (s', r'), which is what makes transcripts worthless to
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateHash, InvalidNonce, InvalidRandomness
 from .groupparams import GroupParams
+from .keys import in_subgroup
 from .modmath import ZQ, ZQ_STAR, mod_exp, mod_inv, pow_in_subgroup, sample_space
 from .msghash import HashMode, Message, hash_to_zq
 
@@ -99,15 +100,13 @@ def sds_verify(
     """Check r = H(m, c) for c = g**(s*t*x_B) * y_A**(r*t*x_B) mod p; out-of-range fields fail.
 
     c is the textbook (g**s * y_A**r)**(t * x_B) for a signer key in the
-    order-q subgroup, so a key with y_A**q != 1 fails before x_B reaches
-    any power: a table power of y_A, taken at every call, with no memo.
-    A signer key outside [1, p) fails, as it would otherwise verify as
-    its residue mod p does: one key, one encoding.
+    order-q subgroup, so a key that keys.in_subgroup refuses fails before
+    x_B reaches any power.  A signer key outside [1, p) fails, as it would
+    otherwise verify as its residue mod p does: one key, one encoding.
     """
     p, q = params.p, params.q
-    if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q and 1 <= signer_public < p):
-        return False
-    if mod_exp(signer_public, q, p) != 1:
+    if not (0 <= sig.r < q and 0 <= sig.s < q and 1 <= sig.t < q and 1 <= signer_public < p
+            and in_subgroup(params, signer_public)):
         return False
     tx = sig.t * verifier_secret
     g_part = pow_in_subgroup(params.g, sig.s * tx, p, q)

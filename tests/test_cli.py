@@ -307,6 +307,19 @@ def test_a_group_where_every_draw_is_degenerate_exits_two(tmp_path):
                 assert b"every one of the 2 draws" in done.stderr
 
 
+def test_keygen_on_a_group_whose_g_is_not_of_order_q_writes_nothing(tmp_path, capsys):
+    """(23, 11, 22) passes the load-time shape check, but g = -1 has order 2: every g**x is
+    1 or 22, a key no command would accept, so keygen refuses it and writes no file."""
+    params = tmp_path / "g22.params"
+    params.write_text(wirefmt.armor(GroupParams(p=23, q=11, g=22)))
+    out = {name: tmp_path / name for name in ("a.sec", "a.pub")}
+    for seed in ("1", "2", "3"):
+        assert run(["keygen", "--params", str(params), "--seed", seed,
+                    "--out-secret", str(out["a.sec"]), "--out-public", str(out["a.pub"])]) == 3
+        assert "public key" in capsys.readouterr().err
+    assert not any(path.exists() for path in out.values())
+
+
 def test_a_composite_subgroup_order_exits_three_not_two(tmp_path, capsys):
     """(23, 22, 5) passes the load-time shape check; a draw whose inverse mod q = 22 does not
     exist is malformed input, never a usage error."""

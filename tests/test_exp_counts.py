@@ -37,43 +37,45 @@ def test_exponentiations_per_operation_at_full_size(big, powers):
 
 
 def pinned_counts(params, powers):
-    """Pin each operation's count of exponentiations.
+    """Pin each operation's count of exponentiations, for keys from keygen and for the same
+    signer key as a plain int.
 
-    Saeednia verify takes 3: the test y_A**q = 1, then g**(s*t*x_B) and
-    y_A**(r*t*x_B).  Its exponents of y_A are mod q, so, as for Lee-Chang,
-    a key outside the subgroup would hand its holder a residue of x_B.
+    keygen takes 2: g**x, and the y**q of validate_public, which makes y a keys.SubgroupKey.
+    Every opener asks keys.in_subgroup about its signer key, which powers y_A to q only for
+    a key that is no SubgroupKey of the group: a plain int costs each opener one more.
 
-    Lee-Chang recover takes 6: t**q, y_A**r, t**s, the test y_A**q = 1,
-    and the unblinding (t**s * y_A**-r)**x_B as t**(s*x_B) * y_A**(-r*x_B),
-    so that it reads t's per-call comb and y_A's table instead of a
-    builtin pow of a fresh base.  The split costs one more power, and the
-    key test another: with exponents mod q, a key outside the subgroup
-    would give its holder a fresh residue of x_B at every signature.
+    Saeednia verify takes 2: g**(s*t*x_B) and y_A**(r*t*x_B).  Its exponents of y_A are mod
+    q, so, as for Lee-Chang, a key outside the subgroup would hand its holder a residue of x_B.
+
+    Lee-Chang recover takes 5: t**q, y_A**r, t**s, and the unblinding (t**s * y_A**-r)**x_B
+    as t**(s*x_B) * y_A**(-r*x_B), so that it reads t's per-call comb and y_A's table instead
+    of a builtin pow of a fresh base.  The split costs one more power than the textbook's 4.
     """
     rng = random.Random(7)
-    signer = keygen(params, rng)
+    signer = powers.take(2, lambda: keygen(params, rng))
     verifier = keygen(params, rng)
     m = encode_message(b"count", params)
-    x_a, y_a, x_b, y_b = signer.x, signer.y, verifier.x, verifier.y
+    x_a, x_b, y_b = signer.x, verifier.x, verifier.y
     zq = lambda: sample_uniform(params.q, False, rng)
     zq_star = lambda: sample_uniform(params.q, True, rng)
 
-    # Saeednia can refuse a nonce whose hash is 0; this seed never hits it.
-    sae = powers.take(1, lambda: sds_sign(params, x_a, y_b, m, SaeedniaNonces(zq(), zq_star())))
-    assert powers.take(3, lambda: sds_verify(params, y_a, x_b, m, sae))
-    powers.take(2, lambda: sds_simulate(params, y_a, x_b, m, zq(), zq_star()))
+    for y_a, test in ((signer.y, 0), (int(signer.y), 1)):
+        # Saeednia can refuse a nonce whose hash is 0; this seed never hits it.
+        sae = powers.take(1, lambda: sds_sign(params, x_a, y_b, m, SaeedniaNonces(zq(), zq_star())))
+        assert powers.take(2 + test, lambda: sds_verify(params, y_a, x_b, m, sae))
+        powers.take(2, lambda: sds_simulate(params, y_a, x_b, m, zq(), zq_star()))
 
-    lee = powers.take(3, lambda: mr_sign(params, x_a, y_b, m, random_nonces(params, rng)))
-    assert powers.take(6, lambda: mr_recover_verify(params, y_a, x_b, lee)).value == m.value
-    powers.take(3, lambda: mr_simulate(params, y_a, x_b, m, zq_star(), zq()))
+        lee = powers.take(3, lambda: mr_sign(params, x_a, y_b, m, random_nonces(params, rng)))
+        assert powers.take(5 + test, lambda: mr_recover_verify(params, y_a, x_b, lee)).value == m.value
+        powers.take(3, lambda: mr_simulate(params, y_a, x_b, m, zq_star(), zq()))
 
-    pv = powers.take(2, lambda: psg(params, x_a, m, random_nonces(params, rng)))
-    assert powers.take(3, lambda: psv(params, y_a, pv)).value == m.value
+        pv = powers.take(2, lambda: psg(params, x_a, m, random_nonces(params, rng)))
+        assert powers.take(3 + test, lambda: psv(params, y_a, pv)).value == m.value
 
-    dv = powers.take(5, lambda: dsg(params, y_a, y_b, pv, zq()))
-    assert powers.take(5, lambda: dsv_recover(params, y_a, x_b, dv)).value == m.value
-    rands = SimulatorRandomness(zq_star(), zq(), zq())
-    powers.take(4, lambda: dv_simulate(params, y_a, x_b, m, rands))
+        dv = powers.take(5 + test, lambda: dsg(params, y_a, y_b, pv, zq()))
+        assert powers.take(5 + test, lambda: dsv_recover(params, y_a, x_b, dv)).value == m.value
+        rands = SimulatorRandomness(zq_star(), zq(), zq())
+        powers.take(4, lambda: dv_simulate(params, y_a, x_b, m, rands))
 
 
 @pytest.mark.parametrize("group", ["midsize", "wide"])
@@ -96,28 +98,49 @@ def test_one_pv_signature_costs_the_same_at_every_opening(request, group, powers
         assert pv.t.comb is not None
 
 
-def pv_verify_expecting(params, powers, tmp_path, expected: bytes):
-    """The exit code of `verify --scheme pv --expect-message` on a signature of b"count"
-    against a file holding expected, once it took 1 + 3 exponentiations."""
-    signer = keygen(params, random.Random(7))
-    files = {"params": params, "signer.sec": signer.secret(), "signer.pub": signer.public()}
+def cli_signed(params, tmp_path, scheme: str) -> dict:
+    """Paths of params, two key pairs and b"count" written into tmp_path, and of m.sig, its
+    signature under scheme made by `sign`."""
+    rng = random.Random(7)
+    signer, verifier = keygen(params, rng), keygen(params, rng)
+    files = {"params": params, "signer.sec": signer.secret(), "signer.pub": signer.public(),
+             "verifier.sec": verifier.secret(), "verifier.pub": verifier.public()}
     for name, value in files.items():
         (tmp_path / name).write_text(wirefmt.armor(value))
     (tmp_path / "m.bin").write_bytes(b"count")
+    f = {name: str(tmp_path / name) for name in (*files, "m.bin", "m.sig")}
+    designated = [] if scheme == "pv" else ["--verifier-key", f["verifier.pub"]]
+    assert run(["sign", "--scheme", scheme, "--params", f["params"], "--key", f["signer.sec"],
+                *designated, "--message", f["m.bin"], "--seed", "1", "--out", f["m.sig"]]) == 0
+    return f
+
+
+def pv_verify_expecting(params, powers, tmp_path, expected: bytes):
+    """The exit code of `verify --scheme pv --expect-message` on a signature of b"count"
+    against a file holding expected, once it took 1 + 3 exponentiations."""
+    f = cli_signed(params, tmp_path, "pv")
     (tmp_path / "expected.bin").write_bytes(expected)
-    group = ["--params", str(tmp_path / "params")]
-    assert run(["sign", "--scheme", "pv", *group, "--key", str(tmp_path / "signer.sec"),
-                "--message", str(tmp_path / "m.bin"), "--seed", "1",
-                "--out", str(tmp_path / "m.pvsig")]) == 0
     return powers.take(1 + 3, lambda: run(
-        ["verify", "--scheme", "pv", *group, "--signer-key", str(tmp_path / "signer.pub"),
-         "--in", str(tmp_path / "m.pvsig"), "--expect-message", str(tmp_path / "expected.bin")]))
+        ["verify", "--scheme", "pv", "--params", f["params"], "--signer-key", f["signer.pub"],
+         "--in", f["m.sig"], "--expect-message", str(tmp_path / "expected.bin")]))
 
 
 def test_cli_pv_verify_with_expectation_opens_once(midsize, powers, tmp_path):
     """`verify --scheme pv --expect-message` costs one check of the signer key, y_A**q,
     and what one psv costs: 1 + 3."""
     assert pv_verify_expecting(midsize, powers, tmp_path, b"count") == 0
+
+
+@pytest.mark.parametrize("command, scheme, count", [("verify", "saeednia", 2),
+                                                    ("recover", "leechang", 5)])
+def test_cli_opener_tests_the_signer_key_once(midsize, powers, tmp_path, command, scheme, count):
+    """The CLI tests the signer key where it reads it, y_A**q, and hands the opener the
+    keys.SubgroupKey it made, which the opener does not test again: 1 + count."""
+    f = cli_signed(midsize, tmp_path, scheme)
+    message = ["--message", f["m.bin"]] if scheme == "saeednia" else []
+    assert powers.take(1 + count, lambda: run(
+        [command, "--scheme", scheme, "--params", f["params"], "--signer-key", f["signer.pub"],
+         "--key", f["verifier.sec"], *message, "--in", f["m.sig"]])) == 0
 
 
 def test_cli_pv_verify_against_another_message_opens_once(midsize, powers, tmp_path, capsys):
@@ -152,9 +175,9 @@ def test_the_verifier_secret_reaches_e_only_after_its_subgroup_test(wide, powers
 def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_tabled, powers,
                                                                     monkeypatch):
     """mr_recover_verify powers t by s*x_B only after t**q = 1 has passed, and y_A by
-    -r*x_B only after y_A**q = 1 has, and neither otherwise.  With y_A's table answering,
-    it raises only t, from the per-call comb that t**q built, and y_A, from its table: the
-    one builtin pow left is the modular inverse."""
+    -r*x_B only after y_A**q = 1 has, and neither otherwise; a key from keygen passed its
+    test there.  With y_A's table answering, it raises only t, from the per-call comb that
+    t**q built, and y_A, from its table: the one builtin pow left is the modular inverse."""
     p, q = wide.p, wide.q
     signer, verifier = wide_tabled
     rng = random.Random(19)
@@ -169,12 +192,14 @@ def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_t
         return pow(base, exp, modulus)
 
     monkeypatch.setattr(modmath, "pow", builtin_spy, raising=False)
-    assert powers(lambda: mr_recover_verify(wide, signer.y, verifier.x, sig)) == (m, 6)
+    assert powers(lambda: mr_recover_verify(wide, signer.y, verifier.x, sig)) == (m, 5)
     assert pairs(powers).index((sig.t, sig.s * verifier.x % q)) > pairs(powers).index((sig.t, q))
-    assert pairs(powers).index((signer.y, -sig.r * verifier.x % q)) > pairs(powers).index((signer.y, q))
     assert builtin_exps == [-1]
-    for base, _ in pairs(powers):
-        assert base is signer.y or (type(base) is modmath.PerCallBase and base == sig.t)
+    for base, exp in pairs(powers):
+        assert (base is signer.y and exp != q) or (type(base) is modmath.PerCallBase and base == sig.t)
+    plain = int(signer.y)
+    assert powers(lambda: mr_recover_verify(wide, plain, verifier.x, sig)) == (m, 6)
+    assert pairs(powers).index((plain, -sig.r * verifier.x % q)) > pairs(powers).index((plain, q))
     with pytest.raises(InvalidSignature, match="t is not a nontrivial order-q subgroup element"):
         powers(lambda: mr_recover_verify(wide, signer.y, verifier.x, outside))
     assert pairs(powers) == [(outside.t, q)]
@@ -185,17 +210,18 @@ def test_the_verifier_secret_reaches_t_only_after_its_subgroup_test(wide, wide_t
 
 
 def test_saeednia_verify_and_lee_chang_simulate_power_only_tabled_bases(wide, wide_tabled, powers):
-    """sds_verify raises only y_A (to q, first) and then g and y_A, and mr_simulate only
-    y_A: FixedBase residues whose tables answer, so no builtin pow of a fresh base is left
-    in either."""
+    """sds_verify raises only g and y_A, and mr_simulate only y_A: FixedBase residues whose
+    tables answer, so no builtin pow of a fresh base is left in either.  A key from keygen
+    needs no test there; the same key as a plain int is raised to q first."""
     signer, verifier = wide_tabled
     rng = random.Random(13)
     m = encode_message(b"spy", wide)
     sig = sds_sign_random(wide, signer.x, verifier.y, m, rng)
-    assert powers(lambda: sds_verify(wide, signer.y, verifier.x, m, sig)) == (True, 3)
+    assert powers(lambda: sds_verify(wide, signer.y, verifier.x, m, sig)) == (True, 2)
+    assert all(power.base is base for power, base in zip(powers, (wide.g, signer.y)))
+    assert powers(lambda: sds_verify(wide, int(signer.y), verifier.x, m, sig)) == (True, 3)
     assert pairs(powers)[0] == (signer.y, wide.q)
-    assert all(power.base is base for power, base in zip(powers, (signer.y, wide.g, signer.y)))
     powers(lambda: mr_simulate(wide, signer.y, verifier.x, m, sample_uniform(wide.q, True, rng),
                                sample_uniform(wide.q, False, rng)))
     assert len(powers) == 3 and all(power.base is signer.y for power in powers)
-    assert type(signer.y) is modmath.FixedBase and signer.y.comb.modulus == wide.p
+    assert isinstance(signer.y, modmath.FixedBase) and signer.y.comb.modulus == wide.p

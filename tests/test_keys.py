@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dvsig import wirefmt
 from dvsig.errors import Malformed, OutOfRange
-from dvsig.keys import derive_public, keygen, validate_public
+from dvsig.groupparams import GroupParams
+from dvsig.keys import KeyPair, PublicKey, SubgroupKey, derive_public, in_subgroup, keygen, validate_public
+from dvsig.modmath import FixedBase
 
 
 def test_derive_public_toy_values(toy):
@@ -43,14 +46,16 @@ def test_keygen_role_label(toy):
 
 @pytest.mark.parametrize("group, keys", [("toy", 0), ("midsize", 20), ("big", 3)])
 def test_validate_public_passes_every_key_keygen_makes(request, group, keys):
-    """On toy23 every key there is (x in [1, q)); elsewhere `keys` seeded ones."""
+    """On toy23 every key there is (x in [1, q)); elsewhere `keys` seeded ones.  Each comes
+    back as a SubgroupKey of the group."""
     params = request.getfixturevalue(group)
     if keys:
         ys = [keygen(params, random.Random(seed)).y for seed in range(keys)]
     else:
         ys = [derive_public(params, x) for x in range(1, params.q)]
     for y in ys:
-        assert validate_public(params, y) is None
+        key = validate_public(params, y)
+        assert key == y and type(key) is SubgroupKey and key.group == (params.p, params.q)
 
 
 OUTSIDE = {
@@ -71,3 +76,27 @@ def test_validate_public_refuses_what_is_no_nontrivial_subgroup_element(request,
     message = "outside" if name in ("zero", "one", "p", "y+p") else "order-q"
     with pytest.raises(Malformed, match=message):
         validate_public(params, y)
+
+
+def test_only_validate_public_makes_a_key_in_subgroup_trusts(toy, powers):
+    """in_subgroup passes a key without a power only where validate_public (so keygen) made it
+    in that group: every other way to hold the same value, a key read from the wire included,
+    costs the power, as does a key validated in toy23 and asked about under another group."""
+    pair = keygen(toy, random.Random(3))
+    assert type(pair.y) is SubgroupKey and powers.take(0, lambda: in_subgroup(toy, pair.y))
+    assert powers.take(0, lambda: in_subgroup(toy, pair.public().y))
+    y = int(pair.y)
+    untested = {
+        "PublicKey": PublicKey(y).y,
+        "KeyPair": KeyPair(pair.x, y).y,
+        "FixedBase": FixedBase(y),
+        "SubgroupKey": SubgroupKey(y),
+        "derive_public": derive_public(toy, pair.x),
+        "wirefmt.loads": wirefmt.loads(wirefmt.encode(pair.public())).y,
+        "armored": wirefmt.loads(wirefmt.armor(pair.public()).encode()).y,
+    }
+    for name, value in untested.items():
+        assert value == y and powers.take(1, lambda: in_subgroup(toy, value)), name
+    other = GroupParams(p=47, q=23, g=2)
+    assert powers.take(1, lambda: in_subgroup(other, pair.y)) == (pow(y, 23, 47) == 1)
+

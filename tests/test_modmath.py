@@ -287,7 +287,7 @@ def test_small_groups_never_build_a_table(request, group, builds):
 def test_marking_a_marked_value_returns_it(big):
     """A key pair and its public key share one FixedBase, and so one table."""
     pair = keygen(big, random.Random(303))
-    assert type(pair.y) is FixedBase and pair.public().y is pair.y
+    assert isinstance(pair.y, FixedBase) and pair.public().y is pair.y
     assert FixedBase(pair.y) is pair.y and FixedBase(big.g) is big.g
     assert type(GroupParams(big.p, big.q, int(big.g)).g) is FixedBase
     assert PerCallBase(pair.y) is not pair.y and PerCallBase(pair.y) == pair.y

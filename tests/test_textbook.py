@@ -22,11 +22,6 @@ from test_threats import LEDGER, choices, forgery, knowledge
 
 PROD, STUB = HashMode.PRODUCTION, HashMode.STUB
 
-# The one way the library differs from the model: these openers also reject a signer key
-# with y_A**q != 1, before x_B reaches a power.  Once every opener tests its key, all four do.
-KEY_TESTED = {SCHEME_SAEEDNIA, SCHEME_LEECHANG}
-
-
 def alike(expected, library, *args, refused=DegenerateHash):
     """library(*args), once its fields are expected; None where it refuses and expected is None."""
     try:
@@ -40,7 +35,9 @@ def alike(expected, library, *args, refused=DegenerateHash):
 def opens_alike(params, scheme, y_a, b, m, sig, mode, hashed):
     """The residue the library recovers from sig under y_A, or None: the model's, hashed alike."""
     residue, hash_input = textbook.SCHEMES[scheme].open(params, y_a, b.x, m.value, astuple(sig), mode)
-    if scheme in KEY_TESTED and hash_input and pow(y_a, params.q, params.p) != 1:
+    # The one way the library differs from the model: every opener also rejects a signer key
+    # with y_A**q != 1 (keys.in_subgroup), before x_B reaches a power.
+    if hash_input and pow(y_a, params.q, params.p) != 1:
         residue, hash_input = None, None
     hashed.clear()
     try:
