@@ -42,21 +42,22 @@ cost more than it saves.
 
 None of this changes a result: the verdicts and the rng stream stay
 those of testing the candidates one round at a time.  Every witness is
-drawn from the caller's rng in serial order, and the rng state is
-saved after each draw.  The search draws the first witness of the next
-candidates until `workers` of them are not settled modulo a factor,
-and tests those together; the first that passes (candidate j) rewinds
-rng to the state after its draw, which is where the serial test of the
-failed candidates before it leaves it.  Then j draws its other 63
-witnesses, tested together; if round i fails, rng rewinds to the state
-after draw i, where the serial test stops.  The attempt budget, one
-iterator that the q and the p search share, is spent per candidate in
-the same order, and its GenerationTimeout is raised only once the
-candidates before it are settled, so it is raised at the same attempt.
-The q search runs its rounds with the builtin map at every size (a
-256-bit round takes about 0.15 ms).  is_probable_prime draws its
-witnesses from a local rng seeded with n, so there only the verdict
-counts, and it is still that every round passes.
+drawn from the caller's rng in serial order.  The search draws the
+first witness of the next candidates until `workers` of them are not
+settled modulo a factor, saving the rng state after each, and tests
+those together; the first that passes (candidate j) rewinds rng to the
+state after its draw, which is where the serial test of the failed
+candidates before it leaves it.  Then j saves one state (about 25 KB)
+and draws its other 63 witnesses, tested together; if round i fails,
+rng rewinds to that state and draws witnesses 1 to i again, where the
+serial test stops.  The attempt budget, one iterator that the q and the
+p search share, is spent per candidate in the same order, and its
+GenerationTimeout is raised only once the candidates before it are
+settled, so it is raised at the same attempt.  The q search runs its
+rounds with the builtin map at every size (a 256-bit round takes about
+0.15 ms).  is_probable_prime draws its witnesses from a local rng
+seeded with n, so there only the verdict counts, and it is still that
+every round passes.
 """
 
 from __future__ import annotations
@@ -195,15 +196,14 @@ def _first(rounds, tasks: list, verdict: bool) -> int | None:
 
 def _all_pass(rounds, rng: random.Random, n: int, count: int) -> bool:
     """Whether count rounds of n pass, their witnesses drawn first and the rounds run
-    together; a failing round rewinds rng to the state after its draw, where the serial
-    test stops."""
-    witnesses, states = [], []
-    for _ in range(count):
-        witnesses.append(_witness(rng, n))
-        states.append(rng.getstate())
-    i = _first(rounds, [(n, a) for a in witnesses], False)
+    together; when round i fails, rng rewinds to its state before the draws and draws the
+    first i + 1 witnesses again, which leaves it where the serial test stops."""
+    start = rng.getstate()
+    i = _first(rounds, [(n, _witness(rng, n)) for _ in range(count)], False)
     if i is not None:
-        rng.setstate(states[i])
+        rng.setstate(start)
+        for _ in range(i + 1):
+            _witness(rng, n)
     return i is None
 
 
@@ -301,7 +301,7 @@ def _sieved(two_q: int, first: int, count: int, primes: array, roots: array):
     least of them that divides p, as primes are in decreasing order, or 0
     when none does.
     """
-    offsets = array("l", [(root - first) % f for f, root in zip(primes, roots)])
+    offsets = array("l", ((root - first) % f for f, root in zip(primes, roots)))
     for start in range(0, count, _WINDOW):
         size = min(_WINDOW, count - start)
         least = array("l", [0]) * size
@@ -331,8 +331,8 @@ def prime_pair(q_bits: int, p_bits: int, rng: random.Random, max_attempts: int) 
             span = k_max - k_min + 1
             start = sample_uniform(span, False, rng) if span > 1 else 0
             # q is prime, so q is the one sieved prime without an inverse of 2q
-            divisors = array("l", [f for f in primes if f != q])
-            roots = array("l", [pow(-two_q, -1, f) for f in divisors])
+            divisors = array("l", (f for f in primes if f != q))
+            roots = array("l", (pow(-two_q, -1, f) for f in divisors))
             # p = 2kq + 1 for k from k_min + start up to k_max, then from k_min
             ps = chain(_sieved(two_q, k_min + start, span - start, divisors, roots),
                        _sieved(two_q, k_min, start, divisors, roots))

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from functools import partial
 from math import gcd, lcm
@@ -350,11 +351,15 @@ def test_a_pool_worker_imports_no_dvsig_module(pool_at, monkeypatch):
         assert "dvsig" not in imports
 
 
-@pytest.mark.parametrize("fail_round", [1, 2, 64, None])
-def test_validation_rewinds_rng_to_the_serial_state(monkeypatch, fail_round):
+@pytest.mark.parametrize("n, fail_round",
+                         [pytest.param(2**127 - 1, r, id=str(r)) for r in (1, 2, 64, None)]
+                         + [pytest.param(2**127 + 29, r, id=f"{r}-above2^127")
+                            for r in (1, 2, 64, None)])
+def test_validation_rewinds_rng_to_the_serial_state(monkeypatch, n, fail_round):
     """Validation draws all its witnesses before its rounds run; None: every round of a real
-    prime passes, with the real rounds."""
-    n = 2**127 - 1
+    prime passes, with the real rounds.  2**127 + 29, the least prime above 2**127, takes its
+    witnesses from 128-bit draws of which about half are rejected, so a rewind must repeat a
+    varying number of draws."""
     serial_rng = random.Random(9)
     expected, failing = serial_first_prime([n], serial_rng, {n: fail_round})
     if fail_round is not None:
@@ -362,6 +367,29 @@ def test_validation_rewinds_rng_to_the_serial_state(monkeypatch, fail_round):
     rng = random.Random(9)
     assert primes.miller_rabin(n, rng) is (expected is not None)
     assert rng.getstate() == serial_rng.getstate()
+
+
+def traced_peak(call):
+    """(call(), the traced heap peak in bytes above what was held when it started)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_miller_rabin_call_holds_one_rng_state():
+    """A Mersenne-Twister state is about 25 KB: one saved per round would hold about
+    1.5 MiB per call.  160/1024 bits is the least size that builds the sieve (and, on two
+    CPUs or more, opens the pool)."""
+    verdict, peak = traced_peak(partial(primes.is_probable_prime, 2**256 - 189))
+    assert verdict and peak <= 64 << 10
+    params, peak = traced_peak(partial(generate_params, 160, 1024, random.Random(1)))
+    assert peak <= 1 << 20
+    report, peak = traced_peak(partial(validate_params, params))
+    assert report.valid and peak <= 128 << 10
 
 
 # ------------------------------------------------ first rounds settled modulo a sieved factor
