@@ -241,7 +241,7 @@ def cmd_simulate(args) -> int:
     message = _message(args, params, "message", "raw_residue")
     signer = _load_public(args.signer_key, params, "--signer-key")
     verifier = _load(args.key, SecretKey, "--key")
-    sig = sample_space(params.q, scheme.sim_space, rng, lambda randomness: scheme.simulate(
+    sig = sample_space(params.q, scheme.sign_space, rng, lambda randomness: scheme.simulate(
         params, signer, verifier, message, randomness, mode))
     _write_value(args.out, sig)
     return EXIT_OK

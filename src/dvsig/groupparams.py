@@ -105,6 +105,4 @@ def validate_params(params: GroupParams) -> ValidationReport:
     report.failures += _shape_failures(params)
     if p < 2 or q < 1 or mod_exp(g % p, q, p) != 1:
         report.failures.append("g**q mod p != 1 (g is not in the order-q subgroup)")
-    if g == 1:
-        report.failures.append("generator is identity")
     return report

@@ -38,7 +38,7 @@ pow, and constant-time execution is out of scope for this package.
 Randomness is drawn by sample_uniform, and a tuple of it by
 sample_space: a space names, in draw order, the range of each component,
 ZQ for [0, q) or ZQ_STAR for [1, q).  oracle.SCHEMES lists each scheme's
-signer and simulator spaces; the CLI, sds_sign_random,
+space, which its signer and its simulator share; the CLI, sds_sign_random,
 sds_simulate_random and random_nonces all draw through sample_space.
 """
 

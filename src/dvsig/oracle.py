@@ -73,11 +73,10 @@ class Scheme:
     sig_type: type
     designated: bool  # signing needs y_B and opening needs x_B
     recovers: bool  # the signature carries the message
-    sign_space: tuple[str, ...]  # signer randomness, ZQ or ZQ_STAR per component, in draw order
+    sign_space: tuple[str, ...]  # signer and simulator randomness: ZQ or ZQ_STAR each, in order
     sign: Callable  # (params, a, b, m, randomness, mode) -> signature
     open: Callable  # (params, a, b, m, sig, mode) -> the Message it accepts, else InvalidSignature
     forgery: tuple[str, ...]  # the range of each signature field, in field order
-    sim_space: tuple[str, ...] = ()
     simulate: Callable | None = None  # (params, a, b, m, randomness, mode) -> signature
     # Signed as PV and designated afterwards by the signature's holder: the CLI makes it with
     # designate and opens it with dverify, not with sign and recover.
@@ -103,7 +102,7 @@ SCHEMES = {
         sign=lambda params, a, b, m, rand, mode: sds_sign(
             params, a.x, b.y, m, SaeedniaNonces(*rand), mode),
         open=_sds_open,
-        forgery=(ZQ, ZQ, ZQ_STAR), sim_space=(ZQ, ZQ_STAR),
+        forgery=(ZQ, ZQ, ZQ_STAR),
         simulate=lambda params, a, b, m, rand, mode: sds_simulate(
             params, a.y, b.x, m, *rand, mode),
     ),
@@ -112,7 +111,7 @@ SCHEMES = {
         sign=lambda params, a, b, m, rand, mode: mr_sign(
             params, a.x, b.y, m, RecoveryNonces(*rand), mode),
         open=lambda params, a, b, m, sig, mode: mr_recover_verify(params, a.y, b.x, sig, mode),
-        forgery=(SUBGROUP, UNIT, ZQ, ZQ), sim_space=(ZQ_STAR, ZQ),
+        forgery=(SUBGROUP, UNIT, ZQ, ZQ),
         simulate=lambda params, a, b, m, rand, mode: mr_simulate(
             params, a.y, b.x, m, *rand, mode),
     ),
@@ -129,7 +128,7 @@ SCHEMES = {
         sign=lambda params, a, b, m, rand, mode: dsg(
             params, a.y, b.y, _pv_signed(params, a.x, m, *rand[:2], mode), rand[2], mode),
         open=lambda params, a, b, m, sig, mode: dsv_recover(params, a.y, b.x, sig, mode),
-        forgery=(SUBGROUP, UNIT, ZQ, ZQ, SUBGROUP), sim_space=(ZQ_STAR, ZQ, ZQ),
+        forgery=(SUBGROUP, UNIT, ZQ, ZQ, SUBGROUP),
         simulate=lambda params, a, b, m, rand, mode: dv_simulate(
             params, a.y, b.x, m, SimulatorRandomness(*rand), mode),
         designated_later=True,
@@ -198,10 +197,10 @@ def _signatures(params: GroupParams, signer, verifier, m: Message, scheme: str, 
     if params.q > MAX_ENUM_ORDER:
         raise GroupTooLarge(f"q = {params.q} exceeds the enumeration guard ({MAX_ENUM_ORDER})")
     entry = _scheme(scheme)
-    make, space = (entry.simulate, entry.sim_space) if simulated else (entry.sign, entry.sign_space)
+    make = entry.simulate if simulated else entry.sign
     if make is None:
         raise ValueError(f"scheme has no transcript simulator: {scheme}")
-    for randomness in product(*(range(1 if kind == ZQ_STAR else 0, params.q) for kind in space)):
+    for randomness in product(*(range(kind == ZQ_STAR, params.q) for kind in entry.sign_space)):
         try:
             yield randomness, make(params, signer, verifier, m, randomness, HashMode.STUB)
         except DegenerateHash:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from dvsig import modmath, sdvs_mr, sdvs_saeednia
+from dvsig import modmath, sdvs_mr, sdvs_saeednia, wirefmt
+from dvsig.cli import run
 from dvsig.groupparams import TOY23, generate_params
 from dvsig.keys import KeyPair, keygen
 from dvsig.modmath import FixedBase, mod_exp
@@ -88,6 +89,46 @@ def wide_tabled(wide):
             mod_exp(base, wide.q - 1, wide.p)
         assert base.comb is not None and base.comb.width >= wide.q.bit_length()
     return pairs
+
+
+STUBBED = ["--hash", "stub", "--allow-insecure"]
+KEY_SEEDS = {"signer": 11, "verifier": 22}
+
+
+@pytest.fixture(scope="session")
+def cli_files(tmp_path_factory):
+    """cli_files(params, message=None): a new directory of files, written as the CLI writes
+    them: params, the keygen --seed KEY_SEEDS key pairs, and each scheme's signature
+    `<scheme>.sig` (sign --seed 3, designate --seed 4).  With message bytes the signatures
+    sign the file m.bin under the production hash; without, residue 7 under the stub hash.
+    A dict of paths by name, with "dir" and the "message" and "hash" flags; never overwrite
+    its files."""
+
+    def write(params, message: bytes | None = None) -> dict:
+        d = tmp_path_factory.mktemp("cli")
+        f = {"dir": d, **{name: str(d / name) for name in (
+            "params", "m.bin", "signer.sec", "signer.pub", "verifier.sec", "verifier.pub",
+            "saeednia.sig", "leechang.sig", "pv.sig", "udvs.sig")}}
+        (d / "params").write_text(wirefmt.armor(params))
+        if message is None:
+            del f["m.bin"]
+            f["message"], f["hash"] = ["--raw-residue", "7"], STUBBED
+        else:
+            (d / "m.bin").write_bytes(message)
+            f["message"], f["hash"] = ["--message", f["m.bin"]], []
+        for role, seed in KEY_SEEDS.items():
+            assert run(["keygen", "--params", f["params"], "--seed", str(seed),
+                        "--out-secret", f[f"{role}.sec"], "--out-public", f[f"{role}.pub"]]) == 0
+        group = ["--params", f["params"], *f["hash"]]
+        to_verifier = ["--verifier-key", f["verifier.pub"]]
+        for scheme, verifier in (("saeednia", to_verifier), ("leechang", to_verifier), ("pv", [])):
+            assert run(["sign", "--scheme", scheme, *group, "--key", f["signer.sec"], *verifier,
+                        *f["message"], "--seed", "3", "--out", f[f"{scheme}.sig"]]) == 0
+        assert run(["designate", *group, "--signer-key", f["signer.pub"], *to_verifier,
+                    "--in", f["pv.sig"], "--seed", "4", "--out", f["udvs.sig"]]) == 0
+        return f
+
+    return write
 
 
 @pytest.fixture()

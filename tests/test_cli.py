@@ -1,11 +1,13 @@
 import argparse
+import hashlib
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import src_env
+from conftest import STUBBED, src_env
 from dvsig import oracle, primes, wirefmt
 from dvsig.cli import build_parser, run
 from dvsig.groupparams import GroupParams, TOY23, validate_params
@@ -14,8 +16,6 @@ from dvsig.pv_scheme import PVSignature
 from dvsig.sdvs_mr import RecoverySignature
 from dvsig.udvs import DVSignature
 
-STUBBED = ["--hash", "stub", "--allow-insecure"]
-
 
 def dvsig_process(argv, **kwargs):
     """python -m dvsig in a child process (conftest.src_env); stdout and stderr are captured."""
@@ -23,22 +23,27 @@ def dvsig_process(argv, **kwargs):
                           env=src_env(), timeout=60, **kwargs)
 
 
-@pytest.fixture()
-def toyfiles(tmp_path):
-    """toy23 params plus seeded signer/verifier key files."""
-    paths = {
-        "params": tmp_path / "toy.params",
-        "signer_sec": tmp_path / "signer.sec",
-        "signer_pub": tmp_path / "signer.pub",
-        "verifier_sec": tmp_path / "verifier.sec",
-        "verifier_pub": tmp_path / "verifier.pub",
-    }
-    assert run(["params", "gen", "--preset", "toy23", "--out", str(paths["params"])]) == 0
-    assert run(["keygen", "--params", str(paths["params"]), "--seed", "11",
-                "--out-secret", str(paths["signer_sec"]), "--out-public", str(paths["signer_pub"])]) == 0
-    assert run(["keygen", "--params", str(paths["params"]), "--seed", "22",
-                "--out-secret", str(paths["verifier_sec"]), "--out-public", str(paths["verifier_pub"])]) == 0
-    return {name: str(path) for name, path in paths.items()}
+@pytest.fixture(scope="module")
+def toyfiles(cli_files):
+    """cli_files on toy23, plus bad.pvsig and bad.dvsig: pv.sig with c and udvs.sig with w
+    moved by one."""
+    f = cli_files(TOY23)
+    for name, bad, kind, field in (("pv.sig", "bad.pvsig", PVSignature, "c"),
+                                   ("udvs.sig", "bad.dvsig", DVSignature, "w")):
+        sig = wirefmt.loads_expected(Path(f[name]).read_bytes(), kind)
+        f[bad] = str(f["dir"] / bad)
+        moved = replace(sig, **{field: getattr(sig, field) % (TOY23.p - 1) + 1})
+        Path(f[bad]).write_text(wirefmt.armor(moved))
+    return f
+
+
+PAYLOAD = b"\x00\x01payload"
+
+
+@pytest.fixture(scope="module")
+def bigfiles(cli_files, big):
+    """cli_files on the 2048-bit group, signing PAYLOAD, whose leading zero byte must print."""
+    return cli_files(big, PAYLOAD)
 
 
 def test_params_gen_writes_armored_preset(tmp_path):
@@ -100,153 +105,92 @@ def test_params_check_malformed_file(tmp_path):
 
 
 def test_keygen_writes_both_armored_files(toyfiles):
-    with open(toyfiles["signer_sec"]) as fh:
+    with open(toyfiles["signer.sec"]) as fh:
         assert "DVS SECRET KEY" in fh.read()
-    with open(toyfiles["signer_pub"]) as fh:
+    with open(toyfiles["signer.pub"]) as fh:
         assert "DVS PUBLIC KEY" in fh.read()
 
 
-def test_pv_pipeline_with_designation(toyfiles, tmp_path, capsys):
-    pv_sig = tmp_path / "m.pvsig"
-    dv_sig = tmp_path / "m.dvsig"
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pv_sig)]) == 0
-    assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--in", str(pv_sig),
-                "--expect-residue", "7", *STUBBED]) == 0
-    out = capsys.readouterr().out
-    assert "ACCEPT" in out and "residue: 7" in out
-    assert run(["designate", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--verifier-key", toyfiles["verifier_pub"],
-                "--in", str(pv_sig), "--out", str(dv_sig), "--seed", "4", *STUBBED]) == 0
-    assert run(["dverify", "--params", toyfiles["params"], "--key", toyfiles["verifier_sec"],
-                "--signer-key", toyfiles["signer_pub"], "--in", str(dv_sig), *STUBBED]) == 0
-    out = capsys.readouterr().out
-    assert "ACCEPT" in out and "residue: 7" in out
+PV = ["--scheme", "pv", "--signer-key", "signer.pub", "--in"]
+OPENER = ["--key", "verifier.sec", "--signer-key", "signer.pub"]
+DESIGNATE = ["designate", "--signer-key", "signer.pub", "--verifier-key", "verifier.pub", "--in"]
+SEVEN, FRAMED = "ACCEPT\nresidue: 7\n", f"ACCEPT\npayload-hex: {PAYLOAD.hex()}\n"
+
+# The sign, designate and open flow on each file set: (argv, stdout, exit code), in order.
+# argv names files by their keys in the set, or out.* for files the rows write; --params
+# and the set's hash flags follow it.
+ROUND_TRIPS = {
+    "toyfiles": [
+        (["verify", *PV, "pv.sig", "--expect-residue", "7"], SEVEN, 0),
+        (["verify", *PV, "pv.sig", "--expect-residue", "8"], "REJECT\nresidue: 7\n", 1),
+        (["verify", "--scheme", "saeednia", *OPENER, "--raw-residue", "7", "--in", "saeednia.sig"],
+         "ACCEPT\n", 0),
+        (["verify", "--scheme", "saeednia", *OPENER, "--raw-residue", "8", "--in", "saeednia.sig"],
+         "REJECT\n", 1),
+        (["recover", "--scheme", "leechang", *OPENER, "--in", "leechang.sig"], SEVEN, 0),
+        (["dverify", *OPENER, "--in", "udvs.sig"], SEVEN, 0),
+        (["dverify", *OPENER, "--in", "bad.dvsig"], "REJECT\n", 1),
+        ([*DESIGNATE, "bad.pvsig", "--seed", "4", "--out", "out.dvsig"], "REJECT\n", 1),
+    ],
+    "bigfiles": [
+        (["verify", *PV, "pv.sig", "--expect-message", "m.bin"], FRAMED, 0),
+        (["verify", *PV, "pv.sig"], FRAMED, 0),
+        (["recover", *PV, "pv.sig"], FRAMED, 0),
+        (["recover", "--scheme", "leechang", *OPENER, "--in", "leechang.sig"], FRAMED, 0),
+        (["dverify", *OPENER, "--in", "udvs.sig"], FRAMED, 0),
+        (["verify", "--scheme", "saeednia", *OPENER, "--message", "m.bin", "--in", "saeednia.sig"],
+         "ACCEPT\n", 0),
+        # A bare residue on a group that frames payloads opens as a residue, not as malformed.
+        (["sign", "--scheme", "pv", "--key", "signer.sec", "--raw-residue", "7", "--seed", "1",
+          "--out", "out.pvsig"], "", 0),
+        (["sign", "--scheme", "leechang", "--key", "signer.sec", "--verifier-key", "verifier.pub",
+          "--raw-residue", "7", "--seed", "1", "--out", "out.rsig"], "", 0),
+        ([*DESIGNATE, "out.pvsig", "--seed", "1", "--out", "out.dvsig"], "", 0),
+        (["verify", *PV, "out.pvsig", "--expect-residue", "7"], SEVEN, 0),
+        (["verify", *PV, "out.pvsig", "--expect-residue", "8"], "REJECT\nresidue: 7\n", 1),
+        (["recover", *PV, "out.pvsig"], SEVEN, 0),
+        (["recover", "--scheme", "leechang", *OPENER, "--in", "out.rsig"], SEVEN, 0),
+        (["dverify", *OPENER, "--in", "out.dvsig"], SEVEN, 0),
+    ],
+}
 
 
-def test_pv_verify_expect_mismatch(toyfiles, tmp_path, capsys):
-    pv_sig = tmp_path / "m.pvsig"
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pv_sig)]) == 0
-    assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--in", str(pv_sig),
-                "--expect-residue", "8", *STUBBED]) == 1
-    assert "REJECT" in capsys.readouterr().out
+@pytest.mark.parametrize("files", sorted(ROUND_TRIPS))
+def test_round_trips(request, tmp_path, capsys, files):
+    f = {**request.getfixturevalue(files),
+         **{name: str(tmp_path / name) for name in ("out.pvsig", "out.rsig", "out.dvsig")}}
+    for argv, stdout, code in ROUND_TRIPS[files]:
+        files = [f.get(arg, arg) for arg in argv]
+        assert run([*files, "--params", f["params"], *f["hash"]]) == code, argv
+        assert capsys.readouterr().out == stdout, argv
 
 
 def test_pv_verify_reads_expectation_before_opening(toyfiles, tmp_path, capsys):
     """An unreadable --expect-message is a usage error even when the signature is invalid."""
-    pv_sig = tmp_path / "m.pvsig"
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pv_sig)]) == 0
-    sig = wirefmt.loads_expected(pv_sig.read_bytes(), PVSignature)
-    pv_sig.write_text(wirefmt.armor(PVSignature(sig.t, sig.c % (TOY23.p - 1) + 1, sig.r, sig.s)))
     verify = ["verify", "--scheme", "pv", "--params", toyfiles["params"],
-              "--signer-key", toyfiles["signer_pub"], "--in", str(pv_sig), *STUBBED]
+              "--signer-key", toyfiles["signer.pub"], "--in", toyfiles["bad.pvsig"], *STUBBED]
     assert run([*verify, "--expect-residue", "7"]) == 1
     assert capsys.readouterr().out == "REJECT\n"
     assert run([*verify, "--expect-message", str(tmp_path / "absent")]) == 2
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("y", [0, TOY23.p])
-def test_pv_verify_degenerate_signer_key_rejects(toyfiles, tmp_path, capsys, y):
-    pv_sig = tmp_path / "m.pvsig"
-    bad_key = tmp_path / "bad.pub"
-    bad_key.write_text(wirefmt.armor(PublicKey(y)))
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pv_sig)]) == 0
-    capsys.readouterr()
-    # Refused where it is read, before the signature is opened.
-    assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", str(bad_key), "--in", str(pv_sig), *STUBBED]) == 3
-    assert capsys.readouterr().out == ""
-
-
-def test_saeednia_sign_verify(toyfiles, tmp_path, capsys):
-    sig = tmp_path / "m.ssig"
-    assert run(["sign", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--verifier-key", toyfiles["verifier_pub"],
-                "--raw-residue", "7", "--seed", "9", *STUBBED, "--out", str(sig)]) == 0
-    assert run(["verify", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                "--raw-residue", "7", "--in", str(sig), *STUBBED]) == 0
-    assert "ACCEPT" in capsys.readouterr().out
-    # same signature, wrong message residue
-    assert run(["verify", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                "--raw-residue", "8", "--in", str(sig), *STUBBED]) == 1
-    assert "REJECT" in capsys.readouterr().out
-
-
-def test_leechang_sign_recover(toyfiles, tmp_path, capsys):
-    sig = tmp_path / "m.rsig"
-    assert run(["sign", "--scheme", "leechang", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--verifier-key", toyfiles["verifier_pub"],
-                "--raw-residue", "7", "--seed", "10", *STUBBED, "--out", str(sig)]) == 0
-    assert run(["recover", "--scheme", "leechang", "--params", toyfiles["params"],
-                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                "--in", str(sig), *STUBBED]) == 0
-    out = capsys.readouterr().out
-    assert "ACCEPT" in out and "residue: 7" in out
-
-
-def test_dverify_rejects_tampered_signature(toyfiles, tmp_path):
-    pv_sig = tmp_path / "m.pvsig"
-    dv_sig = tmp_path / "m.dvsig"
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pv_sig)]) == 0
-    assert run(["designate", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--verifier-key", toyfiles["verifier_pub"],
-                "--in", str(pv_sig), "--out", str(dv_sig), "--seed", "4", *STUBBED]) == 0
-    sig = wirefmt.loads_expected(dv_sig.read_bytes(), DVSignature)
-    tampered = DVSignature(sig.t, sig.w % (TOY23.p - 1) + 1, sig.r, sig.s, sig.e)
-    assert tampered.w != sig.w
-    dv_sig.write_text(wirefmt.armor(tampered))
-    assert run(["dverify", "--params", toyfiles["params"], "--key", toyfiles["verifier_sec"],
-                "--signer-key", toyfiles["signer_pub"], "--in", str(dv_sig), *STUBBED]) == 1
-
-
-def test_designate_rejects_tampered_pv_signature(toyfiles, tmp_path):
-    pv_sig = tmp_path / "m.pvsig"
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pv_sig)]) == 0
-    sig = wirefmt.loads_expected(pv_sig.read_bytes(), PVSignature)
-    tampered = PVSignature(sig.t, sig.c % (TOY23.p - 1) + 1, sig.r, sig.s)
-    assert tampered.c != sig.c
-    pv_sig.write_text(wirefmt.armor(tampered))
-    assert run(["designate", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--verifier-key", toyfiles["verifier_pub"],
-                "--in", str(pv_sig), "--out", str(tmp_path / "x.dvsig"), "--seed", "4",
-                *STUBBED]) == 1
-
-
-def test_simulated_signatures_verify_and_share_wire_kind(toyfiles, tmp_path):
-    for scheme, verify_args in [
-        ("leechang", ["recover", "--scheme", "leechang"]),
-        ("udvs", ["dverify"]),
-    ]:
-        sig = tmp_path / f"sim.{scheme}"
-        assert run(["simulate", "--scheme", scheme, "--params", toyfiles["params"],
-                    "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                    "--raw-residue", "7", "--seed", "12", *STUBBED, "--out", str(sig)]) == 0
-        assert run([*verify_args, "--params", toyfiles["params"],
-                    "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                    "--in", str(sig), *STUBBED]) == 0
-    sim = tmp_path / "sim.saeednia"
-    assert run(["simulate", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                "--raw-residue", "7", "--seed", "13", *STUBBED, "--out", str(sim)]) == 0
-    assert run(["verify", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                "--raw-residue", "7", "--in", str(sim), *STUBBED]) == 0
+def test_simulated_signatures_verify_and_share_wire_kind(toyfiles, tmp_path, capsys):
+    """A simulated signature has the wire kind of the scheme's real one and opens as it does."""
+    f, sim = toyfiles, tmp_path / "sim.sig"
+    for scheme, opener in [("saeednia", ["verify", "--scheme", "saeednia", "--raw-residue", "7"]),
+                           ("leechang", ["recover", "--scheme", "leechang"]), ("udvs", ["dverify"])]:
+        assert run(["simulate", "--scheme", scheme, "--params", f["params"], "--key", f["verifier.sec"],
+                    "--signer-key", f["signer.pub"], *f["message"], "--seed", "12", *STUBBED,
+                    "--out", str(sim)]) == 0
+        real = Path(f[f"{scheme}.sig"])
+        assert type(wirefmt.loads(sim.read_bytes())) is type(wirefmt.loads(real.read_bytes()))
+        outs = []
+        for path in (sim, real):
+            assert run([*opener, "--params", f["params"], "--key", f["verifier.sec"],
+                        "--signer-key", f["signer.pub"], "--in", str(path), *STUBBED]) == 0, scheme
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("ACCEPT\n"), scheme
 
 
 def test_oracle_subcommand(toyfiles, capsys):
@@ -339,26 +283,26 @@ def test_a_composite_subgroup_order_exits_three_not_two(tmp_path, capsys):
 def test_usage_errors_exit_two(toyfiles, tmp_path, capsys):
     # unknown scheme is an argparse-level usage error
     assert run(["sign", "--scheme", "bogus", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7",
+                "--key", toyfiles["signer.sec"], "--raw-residue", "7",
                 "--out", str(tmp_path / "x")]) == 2
     # stub hash without the insecurity acknowledgement
     assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7",
+                "--key", toyfiles["signer.sec"], "--raw-residue", "7",
                 "--hash", "stub", "--out", str(tmp_path / "x")]) == 2
     # missing message
     assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], *STUBBED, "--out", str(tmp_path / "x")]) == 2
+                "--key", toyfiles["signer.sec"], *STUBBED, "--out", str(tmp_path / "x")]) == 2
     # a residue flag outside [1, p); an oversized --message file is malformed input (exit 3)
     for residue in ("0", "23", "-1"):
         assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"], "--key",
-                    toyfiles["signer_sec"], "--raw-residue", residue, *STUBBED, "--out", "-"]) == 2
+                    toyfiles["signer.sec"], "--raw-residue", residue, *STUBBED, "--out", "-"]) == 2
     assert run(["oracle", "--scheme", "leechang", "--params", toyfiles["params"],
                 "--raw-residue", "0"]) == 2
     assert capsys.readouterr().err.splitlines()[-4:] == [
         "error: --raw-residue: message residue must lie in [1, 22]"] * 4
     # missing counterparty key
     assert run(["sign", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", *STUBBED,
+                "--key", toyfiles["signer.sec"], "--raw-residue", "7", *STUBBED,
                 "--out", str(tmp_path / "x")]) == 2
     # missing subcommand
     assert run([]) == 2
@@ -373,44 +317,38 @@ def test_usage_errors_exit_two(toyfiles, tmp_path, capsys):
     assert run(["oracle", "--scheme", "leechang", "--params", str(big_toy)]) == 2
     # a missing input file (OSError)
     assert run(["recover", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--in", str(tmp_path / "absent"),
+                "--signer-key", toyfiles["signer.pub"], "--in", str(tmp_path / "absent"),
                 *STUBBED]) == 2
     # message flags a valid signature's scheme cannot use
-    ssig, pvsig = tmp_path / "m.ssig", tmp_path / "m.pvsig"
-    assert run(["sign", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--verifier-key", toyfiles["verifier_pub"],
-                "--raw-residue", "7", "--seed", "9", *STUBBED, "--out", str(ssig)]) == 0
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "3",
-                *STUBBED, "--out", str(pvsig)]) == 0
+    ssig, pvsig = toyfiles["saeednia.sig"], toyfiles["pv.sig"]
     saeednia = ["verify", "--scheme", "saeednia", "--params", toyfiles["params"],
-                "--key", toyfiles["verifier_sec"], "--signer-key", toyfiles["signer_pub"],
-                "--raw-residue", "7", "--in", str(ssig), *STUBBED]
+                "--key", toyfiles["verifier.sec"], "--signer-key", toyfiles["signer.pub"],
+                "--raw-residue", "7", "--in", ssig, *STUBBED]
     assert run(saeednia) == 0
     # Saeednia recovers nothing, so there is nothing to compare an expectation with
     assert run([*saeednia, "--expect-residue", "8"]) == 2
-    assert run([*saeednia, "--expect-message", str(ssig)]) == 2
+    assert run([*saeednia, "--expect-message", ssig]) == 2
     pv = ["verify", "--scheme", "pv", "--params", toyfiles["params"],
-          "--signer-key", toyfiles["signer_pub"], "--in", str(pvsig), *STUBBED]
+          "--signer-key", toyfiles["signer.pub"], "--in", pvsig, *STUBBED]
     assert run(pv) == 0
     # PV carries its message, so a message given alongside would be ignored
     assert run([*pv, "--raw-residue", "8"]) == 2
-    assert run([*pv, "--message", str(ssig)]) == 2
+    assert run([*pv, "--message", ssig]) == 2
     assert run([*pv, "--expect-residue", "0"]) == 2
     # both forms of the expectation, of which one would be ignored
-    assert run([*pv, "--expect-message", str(ssig), "--expect-residue", "7"]) == 2
+    assert run([*pv, "--expect-message", ssig, "--expect-residue", "7"]) == 2
     # Saeednia recovers nothing, so there is nothing to print raw
     assert run([*saeednia, "--raw"]) == 2
     # PV opens with public values only, so a verifier key would be ignored
-    assert run([*pv, "--key", toyfiles["verifier_sec"]]) == 2
+    assert run([*pv, "--key", toyfiles["verifier.sec"]]) == 2
     pv_recover = ["recover", *pv[1:]]
     assert run(pv_recover) == 0
-    assert run([*pv_recover, "--key", toyfiles["verifier_sec"]]) == 2
+    assert run([*pv_recover, "--key", toyfiles["verifier.sec"]]) == 2
     # PV is not designated, so signing ignores a verifier key
     pv_sign = ["sign", "--scheme", "pv", "--params", toyfiles["params"],
-               "--key", toyfiles["signer_sec"], "--raw-residue", "7", *STUBBED]
+               "--key", toyfiles["signer.sec"], "--raw-residue", "7", *STUBBED]
     assert run([*pv_sign, "--out", str(tmp_path / "a.pvsig")]) == 0
-    assert run([*pv_sign, "--verifier-key", toyfiles["verifier_pub"],
+    assert run([*pv_sign, "--verifier-key", toyfiles["verifier.pub"],
                 "--out", str(tmp_path / "b.pvsig")]) == 2
     assert not (tmp_path / "b.pvsig").exists()
     # a preset is written as it is, so generation flags would be dropped
@@ -477,10 +415,10 @@ def test_malformed_inputs_exit_three(toyfiles, tmp_path):
     junk = tmp_path / "junk"
     junk.write_bytes(b"not a blob at all")
     assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--in", str(junk)]) == 3
+                "--signer-key", toyfiles["signer.pub"], "--in", str(junk)]) == 3
     # wrong kind: params where a signature is expected
     assert run(["verify", "--scheme", "pv", "--params", toyfiles["params"],
-                "--signer-key", toyfiles["signer_pub"], "--in", toyfiles["params"]]) == 3
+                "--signer-key", toyfiles["signer.pub"], "--in", toyfiles["params"]]) == 3
     # params armored under the public key label
     relabelled = tmp_path / "relabelled.params"
     relabelled.write_text(Path(toyfiles["params"]).read_text().replace("PARAMS", "PUBLIC KEY"))
@@ -489,7 +427,7 @@ def test_malformed_inputs_exit_three(toyfiles, tmp_path):
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"far too long for a toy group")
     assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"],
-                "--key", toyfiles["signer_sec"], "--message", str(msg), *STUBBED,
+                "--key", toyfiles["signer.sec"], "--message", str(msg), *STUBBED,
                 "--out", str(tmp_path / "x")]) == 3
 
 
@@ -502,19 +440,17 @@ def test_every_command_that_loads_params_refuses_a_broken_shape(toyfiles, tmp_pa
     """q >= 2, q | p - 1 and 1 < g < p need no exponentiation, so every --params reader checks them."""
     params = tmp_path / "broken.params"
     params.write_text(wirefmt.armor(BROKEN_SHAPES[shape]))
-    pv_sig, out = tmp_path / "m.pvsig", tmp_path / "out"
-    assert run(["sign", "--scheme", "pv", "--params", toyfiles["params"], "--key", toyfiles["signer_sec"],
-                "--raw-residue", "7", "--seed", "3", *STUBBED, "--out", str(pv_sig)]) == 0
-    signer, verifier = ["--signer-key", toyfiles["signer_pub"]], ["--key", toyfiles["verifier_sec"]]
+    pv_sig, out = toyfiles["pv.sig"], tmp_path / "out"
+    signer, verifier = ["--signer-key", toyfiles["signer.pub"]], ["--key", toyfiles["verifier.sec"]]
     commands = [
         ["keygen", "--seed", "1", "--out-secret", str(out), "--out-public", str(out)],
-        ["sign", "--scheme", "pv", "--key", toyfiles["signer_sec"], "--raw-residue", "7", "--seed", "1",
+        ["sign", "--scheme", "pv", "--key", toyfiles["signer.sec"], "--raw-residue", "7", "--seed", "1",
          *STUBBED, "--out", str(out)],
-        ["verify", "--scheme", "pv", *signer, "--in", str(pv_sig), *STUBBED],
-        ["recover", "--scheme", "pv", *signer, "--in", str(pv_sig), *STUBBED],
-        ["designate", *signer, "--verifier-key", toyfiles["verifier_pub"], "--in", str(pv_sig),
+        ["verify", "--scheme", "pv", *signer, "--in", pv_sig, *STUBBED],
+        ["recover", "--scheme", "pv", *signer, "--in", pv_sig, *STUBBED],
+        ["designate", *signer, "--verifier-key", toyfiles["verifier.pub"], "--in", pv_sig,
          "--seed", "1", *STUBBED, "--out", str(out)],
-        ["dverify", *verifier, *signer, "--in", str(pv_sig), *STUBBED],
+        ["dverify", *verifier, *signer, "--in", pv_sig, *STUBBED],
         ["simulate", "--scheme", "udvs", *verifier, *signer, "--raw-residue", "7", "--seed", "1",
          *STUBBED, "--out", str(out)],
         ["oracle", "--scheme", "udvs"],
@@ -529,46 +465,32 @@ def test_every_command_that_loads_params_refuses_a_broken_shape(toyfiles, tmp_pa
 
 # Every command that reads a public key, with the files it reads named by their toyfiles keys.
 KEY_READERS = [
-    ["sign", "--scheme", "saeednia", "--key", "signer_sec", "--verifier-key", "verifier_pub",
+    ["sign", "--scheme", "saeednia", "--key", "signer.sec", "--verifier-key", "verifier.pub",
      "--raw-residue", "7", "--seed", "1", "--out", "out"],
-    ["sign", "--scheme", "leechang", "--key", "signer_sec", "--verifier-key", "verifier_pub",
+    ["sign", "--scheme", "leechang", "--key", "signer.sec", "--verifier-key", "verifier.pub",
      "--raw-residue", "7", "--seed", "1", "--out", "out"],
-    ["verify", "--scheme", "saeednia", "--key", "verifier_sec", "--signer-key", "signer_pub",
-     "--raw-residue", "7", "--in", "m.ssig"],
-    ["verify", "--scheme", "pv", "--signer-key", "signer_pub", "--in", "m.pvsig"],
-    ["recover", "--scheme", "leechang", "--key", "verifier_sec", "--signer-key", "signer_pub",
-     "--in", "m.rsig"],
-    ["recover", "--scheme", "pv", "--signer-key", "signer_pub", "--in", "m.pvsig"],
-    ["dverify", "--key", "verifier_sec", "--signer-key", "signer_pub", "--in", "m.dvsig"],
-    ["designate", "--signer-key", "signer_pub", "--verifier-key", "verifier_pub", "--in", "m.pvsig",
+    ["verify", "--scheme", "saeednia", "--key", "verifier.sec", "--signer-key", "signer.pub",
+     "--raw-residue", "7", "--in", "saeednia.sig"],
+    ["verify", "--scheme", "pv", "--signer-key", "signer.pub", "--in", "pv.sig"],
+    ["recover", "--scheme", "leechang", "--key", "verifier.sec", "--signer-key", "signer.pub",
+     "--in", "leechang.sig"],
+    ["recover", "--scheme", "pv", "--signer-key", "signer.pub", "--in", "pv.sig"],
+    ["dverify", "--key", "verifier.sec", "--signer-key", "signer.pub", "--in", "udvs.sig"],
+    ["designate", "--signer-key", "signer.pub", "--verifier-key", "verifier.pub", "--in", "pv.sig",
      "--seed", "1", "--out", "out"],
-    *(["simulate", "--scheme", scheme, "--key", "verifier_sec", "--signer-key", "signer_pub",
+    *(["simulate", "--scheme", scheme, "--key", "verifier.sec", "--signer-key", "signer.pub",
        "--raw-residue", "7", "--seed", "1", "--out", "out"]
       for scheme in ("saeednia", "leechang", "udvs")),
 ]
 
 
-@pytest.fixture()
-def signed(toyfiles, tmp_path):
-    """toyfiles plus a signature of residue 7 in each scheme, made with the good keys."""
-    f = {**toyfiles, **{name: str(tmp_path / name)
-                        for name in ("m.pvsig", "m.ssig", "m.rsig", "m.dvsig", "out")}}
-    group = ["--params", f["params"], *STUBBED]
-    for scheme, name in (("pv", "m.pvsig"), ("saeednia", "m.ssig"), ("leechang", "m.rsig")):
-        verifier = [] if scheme == "pv" else ["--verifier-key", f["verifier_pub"]]
-        assert run(["sign", "--scheme", scheme, *group, "--key", f["signer_sec"], *verifier,
-                    "--raw-residue", "7", "--seed", "3", "--out", f[name]]) == 0
-    assert run(["designate", *group, "--signer-key", f["signer_pub"], "--verifier-key",
-                f["verifier_pub"], "--in", f["m.pvsig"], "--seed", "4", "--out", f["m.dvsig"]]) == 0
-    return f
-
-
 @pytest.mark.parametrize("bad", ["p-y", 0, 1, TOY23.p])
-def test_every_public_key_reader_refuses_a_key_outside_the_subgroup(signed, tmp_path, capsys, bad):
+def test_every_public_key_reader_refuses_a_key_outside_the_subgroup(toyfiles, tmp_path, capsys, bad):
     """Each --signer-key and --verifier-key is checked where it is read: a key of order 2q
     (p - y), or one outside (1, p), exits 3 with nothing on stdout, from every command whose
     run with the good keys exits 0."""
-    out = Path(signed["out"])
+    out = tmp_path / "out"
+    signed = {**toyfiles, "out": str(out)}
     for argv in KEY_READERS:
         files = [signed.get(arg, arg) for arg in argv]
         assert run([*files, "--params", signed["params"], *STUBBED]) == 0, argv
@@ -607,114 +529,32 @@ def test_two_dash_files_in_one_direction_are_usage_errors(toyfiles):
         assert b"only one file argument can be '-'" in done.stderr
 
 
-def test_help_exits_zero():
-    assert run(["--help"]) == 0
-    assert run(["sign", "--help"]) == 0
+HELP_PAGES = [[], ["params"], ["params", "gen"], ["params", "check"],
+              *([name] for name in ("keygen", "sign", "verify", "recover", "designate", "dverify",
+                                    "simulate", "oracle"))]
+# One SHA-256 over the pages in HELP_PAGES order, as Python 3.10, 3.11 and 3.12 render them
+# 80 columns wide.
+HELP_SHA256 = "ccca7e159102f4402d708350698686a6ee5c9c476fa6e56db81c110f6655f1b8"
+
+
+def test_every_help_page_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for page in HELP_PAGES:
+        assert run([*page, "--help"]) == 0, page
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == HELP_SHA256
 
 
 def test_raw_blob_piping_between_processes(toyfiles):
     sign = dvsig_process(["sign", "--scheme", "pv",
-                          "--params", toyfiles["params"], "--key", toyfiles["signer_sec"],
+                          "--params", toyfiles["params"], "--key", toyfiles["signer.sec"],
                           "--raw-residue", "7", "--seed", "3", *STUBBED, "--out", "-"])
     assert sign.returncode == 0
     blob = sign.stdout
     assert blob[:2] == bytes([0x01, 0x03])  # raw PV signature blob on stdout
     verify = dvsig_process(["verify", "--scheme", "pv",
-                            "--params", toyfiles["params"], "--signer-key", toyfiles["signer_pub"],
+                            "--params", toyfiles["params"], "--signer-key", toyfiles["signer.pub"],
                             "--in", "-", *STUBBED], input=blob)
     assert verify.returncode == 0
     assert b"ACCEPT" in verify.stdout
-
-
-@pytest.fixture(scope="module")
-def bare(tmp_path_factory):
-    """PV, Lee-Chang and designated signatures of residue 7, which is no framed payload,
-    on a group that frames payloads."""
-    d = tmp_path_factory.mktemp("bare")
-    f = {name: str(d / name) for name in ("params", "a.sec", "a.pub", "b.sec", "b.pub",
-                                          "m.pvsig", "m.rsig", "m.dvsig")}
-    group = ["--params", f["params"]]
-    steps = [
-        ["params", "gen", "--q-bits", "16", "--p-bits", "64", "--seed", "1", "--out", f["params"]],
-        ["keygen", *group, "--seed", "1", "--out-secret", f["a.sec"], "--out-public", f["a.pub"]],
-        ["keygen", *group, "--seed", "2", "--out-secret", f["b.sec"], "--out-public", f["b.pub"]],
-        ["sign", "--scheme", "pv", *group, "--key", f["a.sec"], "--raw-residue", "7",
-         "--seed", "1", "--out", f["m.pvsig"]],
-        ["sign", "--scheme", "leechang", *group, "--key", f["a.sec"], "--verifier-key", f["b.pub"],
-         "--raw-residue", "7", "--seed", "1", "--out", f["m.rsig"]],
-        ["designate", *group, "--signer-key", f["a.pub"], "--verifier-key", f["b.pub"],
-         "--in", f["m.pvsig"], "--seed", "1", "--out", f["m.dvsig"]],
-    ]
-    for argv in steps:
-        assert run(argv) == 0, argv
-    return f
-
-
-BARE_CASES = {
-    "verify-pv-expected": (lambda f: ["verify", "--scheme", "pv", "--signer-key", f["a.pub"],
-                                      "--in", f["m.pvsig"], "--expect-residue", "7"],
-                           "ACCEPT\nresidue: 7\n", 0),
-    "verify-pv-other": (lambda f: ["verify", "--scheme", "pv", "--signer-key", f["a.pub"],
-                                   "--in", f["m.pvsig"], "--expect-residue", "8"],
-                        "REJECT\nresidue: 7\n", 1),
-    "recover-pv": (lambda f: ["recover", "--scheme", "pv", "--signer-key", f["a.pub"],
-                              "--in", f["m.pvsig"]], "ACCEPT\nresidue: 7\n", 0),
-    "recover-leechang": (lambda f: ["recover", "--scheme", "leechang", "--key", f["b.sec"],
-                                    "--signer-key", f["a.pub"], "--in", f["m.rsig"]],
-                         "ACCEPT\nresidue: 7\n", 0),
-    "dverify": (lambda f: ["dverify", "--key", f["b.sec"], "--signer-key", f["a.pub"],
-                           "--in", f["m.dvsig"]], "ACCEPT\nresidue: 7\n", 0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(BARE_CASES))
-def test_a_valid_signature_of_a_bare_residue_is_not_malformed(bare, capsys, case):
-    argv, stdout, code = BARE_CASES[case]
-    assert run([*argv(bare), "--params", bare["params"]]) == code
-    assert capsys.readouterr().out == stdout
-
-
-def test_full_size_message_file_pipeline(tmp_path, big):
-    params_file = tmp_path / "big.params"
-    params_file.write_text(wirefmt.armor(big))
-    for name, seed in (("signer", 1), ("verifier", 2)):
-        assert run(["keygen", "--params", str(params_file), "--seed", str(seed),
-                    "--out-secret", str(tmp_path / f"{name}.sec"),
-                    "--out-public", str(tmp_path / f"{name}.pub")]) == 0
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(b"production-mode payload")
-    sig = tmp_path / "m.rsig"
-    assert run(["sign", "--scheme", "leechang", "--params", str(params_file),
-                "--key", str(tmp_path / "signer.sec"), "--verifier-key", str(tmp_path / "verifier.pub"),
-                "--message", str(msg), "--seed", "4", "--out", str(sig)]) == 0
-    assert run(["recover", "--scheme", "leechang", "--params", str(params_file),
-                "--key", str(tmp_path / "verifier.sec"), "--signer-key", str(tmp_path / "signer.pub"),
-                "--in", str(sig)]) == 0
-    pv_sig = tmp_path / "m.pvsig"
-    assert run(["sign", "--scheme", "pv", "--params", str(params_file),
-                "--key", str(tmp_path / "signer.sec"), "--message", str(msg),
-                "--seed", "6", "--out", str(pv_sig)]) == 0
-    assert run(["verify", "--scheme", "pv", "--params", str(params_file),
-                "--signer-key", str(tmp_path / "signer.pub"), "--in", str(pv_sig),
-                "--expect-message", str(msg)]) == 0
-    assert run(["recover", "--scheme", "pv", "--params", str(params_file),
-                "--signer-key", str(tmp_path / "signer.pub"), "--in", str(pv_sig)]) == 0
-
-
-def test_pv_verify_recovered_payload_printed(tmp_path, big, capsys):
-    params_file = tmp_path / "big.params"
-    params_file.write_text(wirefmt.armor(big))
-    assert run(["keygen", "--params", str(params_file), "--seed", "1",
-                "--out-secret", str(tmp_path / "s.sec"), "--out-public", str(tmp_path / "s.pub")]) == 0
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(b"\x00\x01payload")
-    sig = tmp_path / "m.pvsig"
-    assert run(["sign", "--scheme", "pv", "--params", str(params_file),
-                "--key", str(tmp_path / "s.sec"), "--message", str(msg),
-                "--seed", "2", "--out", str(sig)]) == 0
-    assert run(["verify", "--scheme", "pv", "--params", str(params_file),
-                "--signer-key", str(tmp_path / "s.pub"), "--in", str(sig)]) == 0
-    out = capsys.readouterr().out
-    assert "ACCEPT" in out
-    expected_hex = b"\x00\x01payload".hex()
-    assert f"payload-hex: {expected_hex}" in out

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from dvsig import wirefmt
+from conftest import KEY_SEEDS
 from dvsig.cli import run
 from dvsig.errors import DegenerateHash
 from dvsig.groupparams import TOY23
@@ -23,9 +23,7 @@ from dvsig.modmath import sample_uniform
 from dvsig.msghash import HashMode, raw_message
 from dvsig.sdvs_saeednia import SaeedniaNonces, sds_sign, sds_simulate
 
-STUBBED = ["--hash", "stub", "--allow-insecure"]
 SEEDS = range(24)
-KEY_SEEDS = {"signer": 11, "verifier": 22}
 
 CASES = {
     "sign-saeednia": lambda f: ["sign", "--scheme", "saeednia", "--key", f["signer.sec"],
@@ -75,25 +73,6 @@ GOLDEN = {
 }
 
 
-def write_setting(d, name: str, params) -> dict:
-    """Params and key files, message flags and a PV signature for one group under d."""
-    f = {"dir": d, "params": str(d / "params")}
-    if name == "toy23-stub":
-        f["hash"], f["message"] = STUBBED, ["--raw-residue", "7"]
-    else:
-        (d / "m.bin").write_bytes(b"golden")
-        f["hash"], f["message"] = [], ["--message", str(d / "m.bin")]
-    (d / "params").write_text(wirefmt.armor(params))
-    for role, seed in KEY_SEEDS.items():
-        f[f"{role}.sec"], f[f"{role}.pub"] = str(d / f"{role}.sec"), str(d / f"{role}.pub")
-        assert run(["keygen", "--params", f["params"], "--seed", str(seed),
-                    "--out-secret", f[f"{role}.sec"], "--out-public", f[f"{role}.pub"]]) == 0
-    f["pv.sig"] = str(d / "pv.sig")
-    assert run(["sign", "--scheme", "pv", "--params", f["params"], "--key", f["signer.sec"],
-                *f["message"], "--seed", "3", *f["hash"], "--out", f["pv.sig"]]) == 0
-    return f
-
-
 def seeded_digest(f: dict, case: str) -> str:
     """SHA-256 over the files one subcommand writes under every seed in SEEDS."""
     digest = hashlib.sha256()
@@ -106,9 +85,9 @@ def seeded_digest(f: dict, case: str) -> str:
 
 
 @pytest.fixture(scope="module", params=["toy23-stub", "midsize-production"])
-def setting(request, tmp_path_factory, midsize):
-    params = TOY23 if request.param == "toy23-stub" else midsize
-    return request.param, write_setting(tmp_path_factory.mktemp(request.param), request.param, params)
+def setting(request, cli_files, midsize):
+    files = cli_files(TOY23) if request.param == "toy23-stub" else cli_files(midsize, b"golden")
+    return request.param, files
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

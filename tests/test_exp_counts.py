@@ -10,7 +10,7 @@ import random
 import pytest
 
 import textbook
-from dvsig import modmath, wirefmt
+from dvsig import modmath
 from dvsig.cli import run
 from dvsig.errors import InvalidSignature
 from dvsig.keys import keygen
@@ -98,56 +98,39 @@ def test_one_pv_signature_costs_the_same_at_every_opening(request, group, powers
         assert pv.t.comb is not None
 
 
-def cli_signed(params, tmp_path, scheme: str) -> dict:
-    """Paths of params, two key pairs and b"count" written into tmp_path, and of m.sig, its
-    signature under scheme made by `sign`."""
-    rng = random.Random(7)
-    signer, verifier = keygen(params, rng), keygen(params, rng)
-    files = {"params": params, "signer.sec": signer.secret(), "signer.pub": signer.public(),
-             "verifier.sec": verifier.secret(), "verifier.pub": verifier.public()}
-    for name, value in files.items():
-        (tmp_path / name).write_text(wirefmt.armor(value))
-    (tmp_path / "m.bin").write_bytes(b"count")
-    f = {name: str(tmp_path / name) for name in (*files, "m.bin", "m.sig")}
-    designated = [] if scheme == "pv" else ["--verifier-key", f["verifier.pub"]]
-    assert run(["sign", "--scheme", scheme, "--params", f["params"], "--key", f["signer.sec"],
-                *designated, "--message", f["m.bin"], "--seed", "1", "--out", f["m.sig"]]) == 0
-    return f
-
-
-def pv_verify_expecting(params, powers, tmp_path, expected: bytes):
-    """The exit code of `verify --scheme pv --expect-message` on a signature of b"count"
-    against a file holding expected, once it took 1 + 3 exponentiations."""
-    f = cli_signed(params, tmp_path, "pv")
+def pv_verify_expecting(f, powers, tmp_path, expected: bytes):
+    """The exit code of `verify --scheme pv --expect-message` on f's PV signature against a
+    file holding expected, once it took 1 + 3 exponentiations."""
     (tmp_path / "expected.bin").write_bytes(expected)
     return powers.take(1 + 3, lambda: run(
         ["verify", "--scheme", "pv", "--params", f["params"], "--signer-key", f["signer.pub"],
-         "--in", f["m.sig"], "--expect-message", str(tmp_path / "expected.bin")]))
+         "--in", f["pv.sig"], "--expect-message", str(tmp_path / "expected.bin")]))
 
 
-def test_cli_pv_verify_with_expectation_opens_once(midsize, powers, tmp_path):
+def test_cli_pv_verify_with_expectation_opens_once(midsize, cli_files, powers, tmp_path):
     """`verify --scheme pv --expect-message` costs one check of the signer key, y_A**q,
     and what one psv costs: 1 + 3."""
-    assert pv_verify_expecting(midsize, powers, tmp_path, b"count") == 0
+    assert pv_verify_expecting(cli_files(midsize, b"count"), powers, tmp_path, b"count") == 0
 
 
 @pytest.mark.parametrize("command, scheme, count", [("verify", "saeednia", 2),
                                                     ("recover", "leechang", 5)])
-def test_cli_opener_tests_the_signer_key_once(midsize, powers, tmp_path, command, scheme, count):
+def test_cli_opener_tests_the_signer_key_once(midsize, cli_files, powers, command, scheme, count):
     """The CLI tests the signer key where it reads it, y_A**q, and hands the opener the
     keys.SubgroupKey it made, which the opener does not test again: 1 + count."""
-    f = cli_signed(midsize, tmp_path, scheme)
-    message = ["--message", f["m.bin"]] if scheme == "saeednia" else []
+    f = cli_files(midsize, b"count")
+    message = f["message"] if scheme == "saeednia" else []
     assert powers.take(1 + count, lambda: run(
         [command, "--scheme", scheme, "--params", f["params"], "--signer-key", f["signer.pub"],
-         "--key", f["verifier.sec"], *message, "--in", f["m.sig"]])) == 0
+         "--key", f["verifier.sec"], *message, "--in", f[f"{scheme}.sig"]])) == 0
 
 
-def test_cli_pv_verify_against_another_message_opens_once(midsize, powers, tmp_path, capsys):
+def test_cli_pv_verify_against_another_message_opens_once(midsize, cli_files, powers, tmp_path,
+                                                          capsys):
     """A mismatched expectation is refused by psv_matches without opening the signature,
     so the key check and the one opening that prints the recovered message are all it
     costs: 1 + 3."""
-    assert pv_verify_expecting(midsize, powers, tmp_path, b"other") == 1
+    assert pv_verify_expecting(cli_files(midsize, b"count"), powers, tmp_path, b"other") == 1
     assert capsys.readouterr().out == f"REJECT\npayload-hex: {b'count'.hex()}\n"
 
 

@@ -8,7 +8,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dvsig import modmath, wirefmt
+from dvsig import modmath
 from dvsig.cli import run
 from dvsig.errors import DegenerateHash, InvalidSignature, NonInvertible
 from dvsig.groupparams import GroupParams, generate_params
@@ -321,31 +321,25 @@ def test_a_table_is_freed_with_its_owner(big):
     assert sys.getrefcount(table) == 2
 
 
-def test_one_shot_cli_processes_build_no_table(big, big_signer, big_verifier, tmp_path, builds):
+def test_one_shot_cli_processes_build_no_table(big, cli_files, tmp_path, builds):
     """Each in-process run loads fresh params and keys, as a one-shot process does, so rounds
     of sign, designate, verify and recover on 2048-bit files never reach a table."""
-    files = {"params": big, "signer.sec": big_signer.secret(), "signer.pub": big_signer.public(),
-             "verifier.sec": big_verifier.secret(), "verifier.pub": big_verifier.public()}
-    for name, value in files.items():
-        (tmp_path / name).write_text(wirefmt.armor(value))
-    (tmp_path / "m.bin").write_bytes(b"one-shot")
-    f = {name: str(tmp_path / name)
-         for name in (*files, "m.bin", "m.pvsig", "m.dvsig", "m.rsig")}
+    f = cli_files(big, b"one-shot")
+    builds.clear()
+    pv, dv, rsig = (str(tmp_path / name) for name in ("pv.sig", "udvs.sig", "leechang.sig"))
     group = ["--params", f["params"]]
     runs = [
-        ["sign", "--scheme", "pv", *group, "--key", f["signer.sec"], "--message", f["m.bin"],
-         "--seed", "2", "--out", f["m.pvsig"]],
+        ["sign", "--scheme", "pv", *group, "--key", f["signer.sec"], *f["message"],
+         "--seed", "2", "--out", pv],
         ["verify", "--scheme", "pv", *group, "--signer-key", f["signer.pub"],
-         "--in", f["m.pvsig"], "--expect-message", f["m.bin"]],
+         "--in", pv, "--expect-message", f["m.bin"]],
         ["designate", *group, "--signer-key", f["signer.pub"], "--verifier-key", f["verifier.pub"],
-         "--in", f["m.pvsig"], "--seed", "3", "--out", f["m.dvsig"]],
-        ["dverify", *group, "--key", f["verifier.sec"], "--signer-key", f["signer.pub"],
-         "--in", f["m.dvsig"]],
+         "--in", pv, "--seed", "3", "--out", dv],
+        ["dverify", *group, "--key", f["verifier.sec"], "--signer-key", f["signer.pub"], "--in", dv],
         ["sign", "--scheme", "leechang", *group, "--key", f["signer.sec"],
-         "--verifier-key", f["verifier.pub"], "--message", f["m.bin"], "--seed", "1",
-         "--out", f["m.rsig"]],
+         "--verifier-key", f["verifier.pub"], *f["message"], "--seed", "1", "--out", rsig],
         ["recover", "--scheme", "leechang", *group, "--key", f["verifier.sec"],
-         "--signer-key", f["signer.pub"], "--in", f["m.rsig"]],
+         "--signer-key", f["signer.pub"], "--in", rsig],
     ]
     for _ in range(4):
         for argv in runs:
@@ -355,7 +349,7 @@ def test_one_shot_cli_processes_build_no_table(big, big_signer, big_verifier, tm
     assert builds.count((PerCallBase.rows, PerCallBase.blocks)) == 4 * 5
 
 
-def test_threads_share_the_cache_safely(wide, builds):
+def test_threads_share_marked_bases_safely(wide, builds):
     """More threads than cores share five marked bases, each past its table build, and
     power one-off bases beside them; every power stays exact."""
     p, q, g = wide.p, wide.q, wide.g

@@ -92,7 +92,7 @@ def test_every_toy_signature_is_the_models(toy, toy_signer, toy_verifier, scheme
     entry, a, b = SCHEMES[scheme], toy_signer, toy_verifier
     for value in range(1, toy.p) if scheme == SCHEME_LEECHANG else [7]:
         check(toy, scheme, a, b, raw_message(value, toy), every(toy.q, entry.sign_space),
-              every(toy.q, entry.sim_space), STUB, hashed, 2)
+              every(toy.q, entry.sign_space), STUB, hashed, 2)
     known, m = knowledge(toy, LEDGER[scheme][0], a, b), raw_message(7, toy)
     for choice in product(*choices(scheme, toy.q)):
         try:
@@ -122,5 +122,5 @@ def test_sampled_draws_are_the_models(request, group, draws, ell, scheme, hashed
             else (keygen(params, rng), keygen(params, rng)))
     for _ in range(draws):
         m = raw_message(rng.randrange(1, params.p), params)
-        signs, sims = ([sample_space(params.q, space, rng)] for space in (entry.sign_space, entry.sim_space))
+        signs, sims = ([sample_space(params.q, entry.sign_space, rng)] for _ in range(2))
         check(params, scheme, a, b, m, signs, sims, PROD, hashed, ell)
