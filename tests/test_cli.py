@@ -116,53 +116,93 @@ OPENER = ["--key", "verifier.sec", "--signer-key", "signer.pub"]
 DESIGNATE = ["designate", "--signer-key", "signer.pub", "--verifier-key", "verifier.pub", "--in"]
 SEVEN, FRAMED = "ACCEPT\nresidue: 7\n", f"ACCEPT\npayload-hex: {PAYLOAD.hex()}\n"
 
-# The sign, designate and open flow on each file set: (argv, stdout, exit code), in order.
-# argv names files by their keys in the set, or out.* for files the rows write; --params
-# and the set's hash flags follow it.
-ROUND_TRIPS = {
-    "toyfiles": [
-        (["verify", *PV, "pv.sig", "--expect-residue", "7"], SEVEN, 0),
-        (["verify", *PV, "pv.sig", "--expect-residue", "8"], "REJECT\nresidue: 7\n", 1),
-        (["verify", "--scheme", "saeednia", *OPENER, "--raw-residue", "7", "--in", "saeednia.sig"],
-         "ACCEPT\n", 0),
-        (["verify", "--scheme", "saeednia", *OPENER, "--raw-residue", "8", "--in", "saeednia.sig"],
-         "REJECT\n", 1),
-        (["recover", "--scheme", "leechang", *OPENER, "--in", "leechang.sig"], SEVEN, 0),
-        (["dverify", *OPENER, "--in", "udvs.sig"], SEVEN, 0),
-        (["dverify", *OPENER, "--in", "bad.dvsig"], "REJECT\n", 1),
-        ([*DESIGNATE, "bad.pvsig", "--seed", "4", "--out", "out.dvsig"], "REJECT\n", 1),
-    ],
-    "bigfiles": [
-        (["verify", *PV, "pv.sig", "--expect-message", "m.bin"], FRAMED, 0),
-        (["verify", *PV, "pv.sig"], FRAMED, 0),
-        (["recover", *PV, "pv.sig"], FRAMED, 0),
-        (["recover", "--scheme", "leechang", *OPENER, "--in", "leechang.sig"], FRAMED, 0),
-        (["dverify", *OPENER, "--in", "udvs.sig"], FRAMED, 0),
-        (["verify", "--scheme", "saeednia", *OPENER, "--message", "m.bin", "--in", "saeednia.sig"],
-         "ACCEPT\n", 0),
-        # A bare residue on a group that frames payloads opens as a residue, not as malformed.
-        (["sign", "--scheme", "pv", "--key", "signer.sec", "--raw-residue", "7", "--seed", "1",
-          "--out", "out.pvsig"], "", 0),
-        (["sign", "--scheme", "leechang", "--key", "signer.sec", "--verifier-key", "verifier.pub",
-          "--raw-residue", "7", "--seed", "1", "--out", "out.rsig"], "", 0),
-        ([*DESIGNATE, "out.pvsig", "--seed", "1", "--out", "out.dvsig"], "", 0),
-        (["verify", *PV, "out.pvsig", "--expect-residue", "7"], SEVEN, 0),
-        (["verify", *PV, "out.pvsig", "--expect-residue", "8"], "REJECT\nresidue: 7\n", 1),
-        (["recover", *PV, "out.pvsig"], SEVEN, 0),
-        (["recover", "--scheme", "leechang", *OPENER, "--in", "out.rsig"], SEVEN, 0),
-        (["dverify", *OPENER, "--in", "out.dvsig"], SEVEN, 0),
-    ],
+
+def cli_argv(f, argv):
+    """argv with the files it names by their keys in file set f, then --params and the set's
+    hash flags."""
+    return [*(f.get(arg, arg) for arg in argv), "--params", f["params"], *f["hash"]]
+
+
+def run_rows(f, capsys, *rows):
+    """Runs (argv, stdout, exit code) rows in order on file set f."""
+    for argv, stdout, code in rows:
+        assert run(cli_argv(f, argv)) == code, argv
+        assert capsys.readouterr().out == stdout, argv
+
+
+def test_pv_pipeline_with_designation(toyfiles, capsys):
+    run_rows(toyfiles, capsys, (["verify", *PV, "pv.sig", "--expect-residue", "7"], SEVEN, 0),
+             (["dverify", *OPENER, "--in", "udvs.sig"], SEVEN, 0))
+
+
+def test_pv_verify_expect_mismatch(toyfiles, capsys):
+    run_rows(toyfiles, capsys,
+             (["verify", *PV, "pv.sig", "--expect-residue", "8"], "REJECT\nresidue: 7\n", 1))
+
+
+def test_saeednia_sign_verify(toyfiles, capsys):
+    verify = ["verify", "--scheme", "saeednia", *OPENER, "--in", "saeednia.sig", "--raw-residue"]
+    run_rows(toyfiles, capsys, ([*verify, "7"], "ACCEPT\n", 0), ([*verify, "8"], "REJECT\n", 1))
+
+
+def test_leechang_sign_recover(toyfiles, capsys):
+    run_rows(toyfiles, capsys,
+             (["recover", "--scheme", "leechang", *OPENER, "--in", "leechang.sig"], SEVEN, 0))
+
+
+def test_dverify_rejects_tampered_signature(toyfiles, capsys):
+    run_rows(toyfiles, capsys, (["dverify", *OPENER, "--in", "bad.dvsig"], "REJECT\n", 1))
+
+
+def test_designate_rejects_tampered_pv_signature(toyfiles, tmp_path, capsys):
+    f = {**toyfiles, "out.dvsig": str(tmp_path / "out.dvsig")}
+    run_rows(f, capsys, ([*DESIGNATE, "bad.pvsig", "--seed", "4", "--out", "out.dvsig"],
+                         "REJECT\n", 1))
+
+
+def test_full_size_message_file_pipeline(bigfiles, capsys):
+    run_rows(bigfiles, capsys,
+             (["verify", *PV, "pv.sig", "--expect-message", "m.bin"], FRAMED, 0),
+             (["recover", *PV, "pv.sig"], FRAMED, 0),
+             (["recover", "--scheme", "leechang", *OPENER, "--in", "leechang.sig"], FRAMED, 0),
+             (["dverify", *OPENER, "--in", "udvs.sig"], FRAMED, 0),
+             (["verify", "--scheme", "saeednia", *OPENER, "--message", "m.bin",
+               "--in", "saeednia.sig"], "ACCEPT\n", 0))
+
+
+def test_pv_verify_recovered_payload_printed(bigfiles, capsys):
+    run_rows(bigfiles, capsys, (["verify", *PV, "pv.sig"], FRAMED, 0))
+
+
+@pytest.fixture(scope="module")
+def bare(bigfiles, tmp_path_factory):
+    """bigfiles plus bare.pvsig, bare.rsig and bare.dvsig: PV, Lee-Chang and designated
+    signatures of residue 7, which is no framed payload, on a group that frames payloads."""
+    d = tmp_path_factory.mktemp("bare")
+    f = {**bigfiles, **{name: str(d / name) for name in ("bare.pvsig", "bare.rsig", "bare.dvsig")}}
+    for argv in (["sign", "--scheme", "pv", "--key", "signer.sec", "--raw-residue", "7",
+                  "--seed", "1", "--out", "bare.pvsig"],
+                 ["sign", "--scheme", "leechang", "--key", "signer.sec",
+                  "--verifier-key", "verifier.pub", "--raw-residue", "7", "--seed", "1",
+                  "--out", "bare.rsig"],
+                 [*DESIGNATE, "bare.pvsig", "--seed", "1", "--out", "bare.dvsig"]):
+        assert run(cli_argv(f, argv)) == 0, argv
+    return f
+
+
+BARE_CASES = {
+    "verify-pv-expected": (["verify", *PV, "bare.pvsig", "--expect-residue", "7"], SEVEN, 0),
+    "verify-pv-other": (["verify", *PV, "bare.pvsig", "--expect-residue", "8"],
+                        "REJECT\nresidue: 7\n", 1),
+    "recover-pv": (["recover", *PV, "bare.pvsig"], SEVEN, 0),
+    "recover-leechang": (["recover", "--scheme", "leechang", *OPENER, "--in", "bare.rsig"], SEVEN, 0),
+    "dverify": (["dverify", *OPENER, "--in", "bare.dvsig"], SEVEN, 0),
 }
 
 
-@pytest.mark.parametrize("files", sorted(ROUND_TRIPS))
-def test_round_trips(request, tmp_path, capsys, files):
-    f = {**request.getfixturevalue(files),
-         **{name: str(tmp_path / name) for name in ("out.pvsig", "out.rsig", "out.dvsig")}}
-    for argv, stdout, code in ROUND_TRIPS[files]:
-        files = [f.get(arg, arg) for arg in argv]
-        assert run([*files, "--params", f["params"], *f["hash"]]) == code, argv
-        assert capsys.readouterr().out == stdout, argv
+@pytest.mark.parametrize("case", sorted(BARE_CASES))
+def test_a_valid_signature_of_a_bare_residue_is_not_malformed(bare, capsys, case):
+    run_rows(bare, capsys, BARE_CASES[case])
 
 
 def test_pv_verify_reads_expectation_before_opening(toyfiles, tmp_path, capsys):
