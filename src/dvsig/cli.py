@@ -139,11 +139,10 @@ def _message(args, params: GroupParams, file_attr: str, residue_attr: str) -> Me
     return None
 
 
-def _print_recovered(msg: Message, raw: bool | None) -> None:
+def _recovered_line(msg: Message, raw: bool | None) -> str:
     if msg.payload is not None and not raw:
-        print(f"payload-hex: {msg.payload.hex()}")
-    else:
-        print(f"residue: {msg.value}")
+        return f"payload-hex: {msg.payload.hex()}"
+    return f"residue: {msg.value}"
 
 
 # ---------------------------------------------------------------- handlers
@@ -215,9 +214,11 @@ def cmd_open(args) -> int:
     else:
         recovered = scheme.open(params, signer, verifier, message, sig, mode)
         accepted = expected is None  # with an expectation: valid, but for another message
-    print("ACCEPT" if accepted else "REJECT")
+    # Formatted before anything is printed: a residue too wide for str() must leave stdout empty.
+    lines = ["ACCEPT" if accepted else "REJECT"]
     if scheme.recovers:
-        _print_recovered(recovered, args.raw)
+        lines.append(_recovered_line(recovered, args.raw))
+    print("\n".join(lines))
     return EXIT_OK if accepted else EXIT_REJECT
 
 

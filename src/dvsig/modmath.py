@@ -129,9 +129,9 @@ class FixedBase(int):
     # Comb shape: an index combines `rows` exponent bits, and the table
     # holds `blocks` blocks of 2**rows entries.  For a 256-bit exponent a
     # power costs 8 squarings and at most 32 multiplications (the builtin
-    # pow: about 256 and 128), and a table holds 1,024 residues.  7 rows
-    # and 2 blocks would take 18 squarings and 38 multiplications, with a
-    # quarter of the memory and build.
+    # pow, which windows the exponent: about 256 and 50), and a table
+    # holds 1,024 residues.  7 rows and 2 blocks would take 18 squarings
+    # and 38 multiplications, with a quarter of the memory and build.
     rows, blocks = 8, 4
     # A build costs about five builtin powers at 2048 bits; a CLI
     # invocation powers g and each key a few times, a long-lived signer

@@ -6,6 +6,7 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from dvsig import modmath, sdvs_mr, sdvs_saeednia, wirefmt
 from dvsig.cli import run
@@ -16,6 +17,9 @@ from dvsig.msghash import hash_to_zq
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# scripts/mutants.py asks only whether a test fails, not for its least failing example.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 def src_env():

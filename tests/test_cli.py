@@ -320,6 +320,29 @@ def test_a_composite_subgroup_order_exits_three_not_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("has no inverse mod 22") == 7
 
 
+def test_an_opening_that_fails_to_print_prints_nothing(tmp_path, capsys):
+    """(5·3**10100 + 2, 2, p - 1) loads, and a 1,900-byte PV payload opens on it, but its
+    residue has more decimal digits than str() formats by default: verify --raw exits 2
+    before ACCEPT is printed, while verify prints the payload."""
+    p = 5 * 3**10100 + 2
+    params, message = tmp_path / "wide.params", tmp_path / "m.bin"
+    params.write_text(wirefmt.armor(GroupParams(p=p, q=2, g=p - 1)))
+    message.write_bytes(bytes(range(256)) * 7 + bytes(108))
+    f = {name: str(tmp_path / name) for name in ("a.sec", "a.pub", "pv.sig")}
+    assert run(["keygen", "--params", str(params), "--seed", "1",
+                "--out-secret", f["a.sec"], "--out-public", f["a.pub"]]) == 0
+    assert run(["sign", "--scheme", "pv", "--params", str(params), "--key", f["a.sec"],
+                "--message", str(message), "--seed", "1", "--out", f["pv.sig"]]) == 0
+    verify = ["verify", "--scheme", "pv", "--params", str(params), "--signer-key", f["a.pub"],
+              "--in", f["pv.sig"]]
+    capsys.readouterr()
+    assert run(verify) == 0
+    assert capsys.readouterr().out == f"ACCEPT\npayload-hex: {message.read_bytes().hex()}\n"
+    assert run([*verify, "--raw"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Exceeds the limit (4300 digits)" in err
+
+
 def test_usage_errors_exit_two(toyfiles, tmp_path, capsys):
     # unknown scheme is an argparse-level usage error
     assert run(["sign", "--scheme", "bogus", "--params", toyfiles["params"],
