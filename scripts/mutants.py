@@ -2,10 +2,9 @@
 
 For each row, this copies src/, tests/ and pyproject.toml into a temporary directory, applies
 the row's replacement there, and runs the row's nodes with `pytest -x -q` in a child process
-whose PYTHONPATH starts with the copy's src, under conftest's hypothesis profile `mutants`,
-which does not shrink a failing example.  The tests are copied too because pytest puts the src
-beside pyproject.toml first on sys.path, and conftest.src_env hands that src to the processes
-that tests start.  It prints one line per row, killed, survived or error, with the seconds
+whose PYTHONPATH starts with the copy's src.  The tests are copied too because pytest puts the
+src beside pyproject.toml first on sys.path, and conftest.src_env hands that src to the
+processes that tests start.  It prints one line per row, killed, survived or error, with the seconds
 taken, and exits 1 unless every row was killed.  Standard library only.
 
     python scripts/mutants.py           # every row
@@ -43,7 +42,7 @@ def run_row(row) -> tuple[str, str]:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(tmp / "src"), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               "--hypothesis-profile=mutants", *row.nodes],
+                               *row.nodes],
                               cwd=tmp, env=env, capture_output=True, text=True)
     # pytest exits 1 when a test failed or errored; any code but 0 or 1 means the nodes did not run.
     return {0: "survived", 1: "killed"}.get(done.returncode, "error"), done.stdout + done.stderr

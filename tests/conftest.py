@@ -6,7 +6,6 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, settings
 
 from dvsig import modmath, sdvs_mr, sdvs_saeednia, wirefmt
 from dvsig.cli import run
@@ -17,9 +16,6 @@ from dvsig.msghash import hash_to_zq
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-# scripts/mutants.py asks only whether a test fails, not for its least failing example.
-settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 
 
 def src_env():
@@ -73,6 +69,22 @@ def big_signer(big):
 @pytest.fixture(scope="session")
 def big_verifier(big):
     return keygen(big, random.Random(202))
+
+
+@pytest.fixture(scope="session")
+def bits256():
+    """A 256-bit group, below the modulus where modmath builds a comb."""
+    params = generate_params(64, 256, random.Random(3))
+    assert params.p.bit_length() == 256
+    return params
+
+
+@pytest.fixture(scope="session")
+def bits511():
+    """A 511-bit group, the widest below the modulus where modmath builds a comb."""
+    params = generate_params(64, 511, random.Random(3))
+    assert params.p.bit_length() == 511
+    return params
 
 
 @pytest.fixture(scope="session")

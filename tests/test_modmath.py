@@ -7,10 +7,7 @@ import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import (Bundle, RuleBasedStateMachine, precondition, rule,
-                                 run_state_machine_as_test)
 
-from combmodel import MarkedBase
 from dvsig import modmath
 from dvsig.cli import run
 from dvsig.errors import DegenerateHash, InvalidSignature, NonInvertible
@@ -166,24 +163,18 @@ def test_sample_space_gives_up_once_every_draw_is_rejected():
     assert len(rejected) == 20
 
 
-# ------------------------------------------------------------------- combs
+# ------------------------------------------------------- fixed-base tables
 
-# tests/combmodel.py states which power of a marked base builds its comb and which powers read
-# it.  `follow` holds every power to the model and to the builtin pow: the state machine below
-# draws its powers, and the named tests after it are scenarios of it.  The shared `big` params
-# and keys keep their combs from test to test, so these tests mark fresh values.
-
-
-class Builds(list):
-    """(rows, blocks) of every comb built, in order, and `reads`, the count of comb powers."""
-
-    reads = 0
+# Table powers must equal the builtin pow bit for bit; a FixedBase builds
+# its table only at its 16th power modulo a full-size modulus.  The
+# shared `big` params and keys keep their tables from test to test, so
+# these tests mark fresh values.
 
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """A Builds of the combs built and read while the test runs."""
-    built = Builds()
+    """(rows, blocks) of every comb built while the test runs, in order."""
+    built = []
 
     class Recorded(modmath._Comb):
         __slots__ = ()
@@ -192,44 +183,19 @@ def builds(monkeypatch):
             super().__init__(*args)
             built.append((self.rows, self.blocks))
 
-        def power(self, exp):
-            built.reads += 1
-            return super().power(exp)
-
     monkeypatch.setattr(modmath, "_Comb", Recorded)
     return built
 
 
-def outcome(power, *args):
-    """power(*args), or ValueError where it raises one, as pow does for a negative exponent of
-    a residue with no inverse."""
-    try:
-        return power(*args)
-    except ValueError:
-        return ValueError
-
-
-def marked(form, value):
-    """(base, model): value marked as form, fresh, and combmodel's model of it."""
-    return form(int(value)), MarkedBase(form)
-
-
-def follow(builds, pair, exps, p, q, times=1):
-    """Raises a marked (base, model) pair to each of exps modulo p, times over through mod_exp
-    and then through pow_in_subgroup.  Each result must be the builtin pow's, and the combs each
-    power builds and reads, and the base's uses and comb at the end, the model's."""
-    base, model = pair
-    for exp in exps:
-        # pow_in_subgroup reduces the exponent mod q before _power sees it.
-        for power, args, counted in ((mod_exp, (exp, p), exp), (pow_in_subgroup, (exp, p, q), exp % q)):
-            expected = outcome(pow, int(base), counted, p)
-            for _ in range(times):
-                before = len(builds), builds.reads
-                assert outcome(power, base, *args) == expected
-                built, read = model.power(counted, p)
-                assert builds[before[0]:] == [model.shape] * built and builds.reads == before[1] + read
-    comb = base.comb and (base.comb.modulus, base.comb.width)
-    assert (base.uses, comb) == (model.uses, model.comb)
+def tabled(value, params):
+    """A fresh FixedBase of value, powered with exponent q - 1 until it has its table."""
+    p, q = params.p, params.q
+    base = FixedBase(int(value))
+    for _ in range(FixedBase.after):
+        assert mod_exp(base, q - 1, p) == pow(int(base), q - 1, p)
+    comb = base.comb
+    assert (comb.rows, comb.blocks, comb.modulus) == (FixedBase.rows, FixedBase.blocks, p)
+    return base, comb
 
 
 def outside_subgroup(params):
@@ -239,58 +205,6 @@ def outside_subgroup(params):
     return h
 
 
-KINDS = ("0", "1", "q-1", "q", "k", "-k", "top", "wider")
-
-
-def exponent(kind, q, width, k):
-    """0, 1, q - 1, q, k mod q, -k, the widest exponent of a width-bit comb, or one wider."""
-    return dict(zip(KINDS, (0, 1, q - 1, q, k % q, -k, (1 << width) - 1, (1 << width) + k)))[kind]
-
-
-def test_marked_bases_follow_the_comb_model(toy, midsize, wide, big, big_signer, builds):
-    """Values in and outside the subgroup, marked as either form and marked again, powered
-    modulo moduli on both sides of 512 bits by exponents in and beyond each comb, all follow
-    combmodel."""
-    p, q, g = big.p, big.q, int(big.g)
-    values = st.one_of(st.sampled_from([0, 1, p - 1, p, p + g, outside_subgroup(big), g, int(big_signer.y)]),
-                       st.integers(min_value=2, max_value=p - 1))
-    groups = [toy, midsize, generate_params(64, 256, random.Random(3)),
-              generate_params(64, 511, random.Random(3)), wide, big]
-    moduli = [(params.p, params.q) for params in groups] + [(p - 2, q)]
-    forms = st.sampled_from([FixedBase, PerCallBase])
-
-    class Combs(RuleBasedStateMachine):
-        bases = Bundle("bases")
-        marks = 0
-
-        # Three fresh values a run, so that each is powered often enough to build its comb.
-        @precondition(lambda self: self.marks < 3)
-        @rule(target=bases, value=values, form=forms)
-        def mark(self, value, form):
-            self.marks += 1
-            pair = marked(form, value)
-            assert type(pair[0]) is form and pair[0] == value
-            return pair
-
-        @rule(target=bases, pair=bases, form=forms)
-        def mark_again(self, pair, form):
-            (base, model), again, expected = pair, form(pair[0]), pair[1].marked(form)
-            assert again == base and (again is base) == (expected is model)
-            return again, expected
-
-        @rule(pair=bases, moduli=st.lists(st.sampled_from(moduli), min_size=1, max_size=3),
-              kind=st.sampled_from(KINDS), k=st.integers(min_value=0, max_value=1 << 300),
-              times=st.integers(1, 8))
-        def power(self, pair, moduli, kind, k, times):
-            for m, q in moduli:
-                comb = pair[1].comb
-                follow(builds, pair, [exponent(kind, q, comb[1] if comb else q.bit_length(), k)],
-                       m, q, times)
-
-    run_state_machine_as_test(Combs, settings=settings(deadline=None, max_examples=20,
-                                                       stateful_step_count=20))
-
-
 BASES = {
     "g": lambda params, key: params.g,
     "key": lambda params, key: key.y,
@@ -298,48 +212,76 @@ BASES = {
     "p-1": lambda params, key: params.p - 1,
     "outside": lambda params, key: outside_subgroup(params),
 }
+TABLE_SETTINGS = settings(deadline=None, max_examples=40)
 
 
-def tabled(value, params, builds):
-    """A fresh FixedBase pair of value, powered with exponent q - 1 until it has its table."""
-    pair = marked(FixedBase, value)
-    follow(builds, pair, [params.q - 1], params.p, params.q, times=FixedBase.after // 2)
-    assert pair[0].comb is not None
-    return pair
+def special_or_below_q(params):
+    q = params.q
+    return st.one_of(st.sampled_from([0, 1, q - 1, q]), st.integers(min_value=0, max_value=q - 1))
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_table_power_equals_builtin(big, big_signer, name, builds):
+def test_table_power_equals_builtin(big, big_signer, name):
+    base, table = tabled(BASES[name](big, big_signer), big)
+
+    @TABLE_SETTINGS
+    @given(special_or_below_q(big))
+    def check(exp):
+        assert exp.bit_length() <= table.width
+        assert mod_exp(base, exp, big.p) == pow(int(base), exp, big.p)
+        assert pow_in_subgroup(base, exp, big.p, big.q) == pow(int(base), exp % big.q, big.p)
+        assert base.comb is table
+
+    check()
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_exponents_wider_than_the_table_fall_back(big, big_signer, name):
+    base, table = tabled(BASES[name](big, big_signer), big)
+
+    @TABLE_SETTINGS
+    @given(st.integers(min_value=1 << table.width, max_value=1 << (2 * table.width)))
+    def check(exp):
+        assert mod_exp(base, exp, big.p) == pow(int(base), exp, big.p)
+        assert base.comb is table
+
+    check()
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_negative_exponents_through_pow_in_subgroup(big, big_signer, name):
+    base, _ = tabled(BASES[name](big, big_signer), big)
     p, q = big.p, big.q
-    pair = tabled(BASES[name](big, big_signer), big, builds)
-    follow(builds, pair, [0, 1, q - 1, q, random.Random(name).randrange(q)], p, q)
 
+    @TABLE_SETTINGS
+    @given(special_or_below_q(big))
+    def check(k):
+        assert pow_in_subgroup(base, -k, p, q) == pow(int(base), -k % q, p)
+        if pow(int(base), q, p) == 1:
+            assert pow_in_subgroup(base, -k, p, q) == pow(int(base), -k, p)
 
-@pytest.mark.parametrize("name", BASES)
-def test_exponents_wider_than_the_table_fall_back(big, big_signer, name, builds):
-    pair = tabled(BASES[name](big, big_signer), big, builds)
-    wider = 1 << pair[0].comb.width
-    follow(builds, pair, [wider, wider + big.q, wider * wider - 1], big.p, big.q)
-
-
-@pytest.mark.parametrize("name", BASES)
-def test_negative_exponents_through_pow_in_subgroup(big, big_signer, name, builds):
-    p, q = big.p, big.q
-    pair = tabled(BASES[name](big, big_signer), big, builds)
-    follow(builds, pair, [-1, 1 - q, -q, -q - 1, -random.Random(name).randrange(q)], p, q)
+    check()
 
 
 def test_fewer_uses_than_the_threshold_build_no_table(big, builds):
-    """Powers 1 to 15 of a FixedBase build nothing, and the 16th builds its table."""
-    follow(builds, marked(FixedBase, big.g), [big.q - k for k in range(1, FixedBase.after + 1)],
-           big.p, big.q)
+    p, q = big.p, big.q
+    g = FixedBase(int(big.g))
+    for k in range(1, FixedBase.after):
+        assert mod_exp(g, q - k, p) == pow(int(g), q - k, p)
+    assert g.comb is None and not builds
+    assert pow_in_subgroup(g, -1, p, q) == pow(int(g), q - 1, p)
+    assert builds == [(FixedBase.rows, FixedBase.blocks)] and g.comb.width >= q.bit_length()
 
 
 @pytest.mark.parametrize("group", ["toy", "midsize"])
 def test_small_groups_never_build_a_table(request, group, builds):
     params = request.getfixturevalue(group)
-    follow(builds, marked(FixedBase, params.g), range(-2 * FixedBase.after, 2 * FixedBase.after),
-           params.p, params.q)
+    p, q = params.p, params.q
+    g = FixedBase(int(params.g))
+    for k in range(4 * FixedBase.after):
+        assert mod_exp(g, k % q, p) == pow(int(g), k % q, p)
+        assert pow_in_subgroup(g, -k, p, q) == pow(int(g), -k % q, p)
+    assert g.comb is None and g.uses == 0 and not builds
 
 
 def test_marking_a_marked_value_returns_it(big):
@@ -355,10 +297,16 @@ def test_marking_a_marked_value_returns_it(big):
 def test_a_comb_leaves_other_moduli_to_the_builtin_pow(big, form, builds):
     """The comb is bound to the modulus of the power that built it."""
     p, q = big.p, big.q
-    pair = marked(form, big.g)
-    follow(builds, pair, [q - 1], p, q, times=FixedBase.after // 2)
-    follow(builds, pair, [0, 1, q - 1, random.Random(5).randrange(q)], p - 2, q)
-    assert pair[0].comb.modulus == p
+    other = p - 2
+    base = form(int(big.g))
+    for _ in range(form.after):
+        assert mod_exp(base, q - 1, p) == pow(int(base), q - 1, p)
+    comb = base.comb
+    assert comb.modulus == p and builds == [(form.rows, form.blocks)]
+    for exp in (0, 1, q - 1, random.Random(5).randrange(q)):
+        assert mod_exp(base, exp, other) == pow(int(base), exp, other)
+        assert pow_in_subgroup(base, -exp, other, q) == pow(int(base), -exp % q, other)
+    assert base.comb is comb and len(builds) == 1
 
 
 def test_a_table_is_freed_with_its_owner(big):
@@ -435,6 +383,19 @@ def test_threads_share_marked_bases_safely(wide, builds):
 
 # ----------------------------------------------------------- marked bases
 
+# A PerCallBase is powered from a comb built at its first power, which
+# must equal the builtin pow bit for bit.
+
+
+def marked_comb(base, params):
+    """The per-call comb of a PerCallBase, built by its first power, with exponent q."""
+    p, q = params.p, params.q
+    assert base.comb is None
+    assert mod_exp(base, q, p) == pow(int(base), q, p)
+    comb = base.comb
+    assert (comb.rows, comb.blocks) == (PerCallBase.rows, PerCallBase.blocks)
+    return comb
+
 
 MARKED_BASES = {
     "zero": lambda params: 0,
@@ -450,32 +411,48 @@ MARKED_BASES = {
 
 @pytest.mark.parametrize("name", MARKED_BASES)
 def test_marked_power_equals_builtin(big, name, builds):
-    """A PerCallBase builds its comb at its first power, here with exponent q."""
+    base = PerCallBase(MARKED_BASES[name](big))
     p, q = big.p, big.q
-    pair = marked(PerCallBase, MARKED_BASES[name](big))
-    follow(builds, pair, [q], p, q)
-    top = 1 << pair[0].comb.width
-    follow(builds, pair, [0, 1, q - 1, top - 1, top, top + q, random.Random(name).randrange(q)], p, q)
+    comb = marked_comb(base, big)
+    assert comb.width == q.bit_length()
+    for exp in (0, 1, q - 1, (1 << comb.width) - 1, random.Random(name).randrange(q)):
+        assert mod_exp(base, exp, p) == pow(int(base), exp, p)
+        assert pow_in_subgroup(base, -exp, p, q) == pow(int(base), -exp % q, p)
+    wider = 1 << comb.width
+    assert mod_exp(base, wider, p) == pow(int(base), wider, p)
+    assert mod_exp(base, wider + q, p) == pow(int(base), wider + q, p)
+    assert base.comb is comb and len(builds) == 1
 
 
-@pytest.mark.parametrize("group", ["toy", "midsize", "256 bits"])
+@pytest.mark.parametrize("group", ["toy", "midsize", pytest.param("bits256", id="256 bits"),
+                                   pytest.param("bits511", id="511 bits")])
 def test_small_moduli_mark_nothing(request, group, builds):
     """Below 512 bits neither form builds a comb, not even a FixedBase powered past its
-    `after`: at 256 bits neither comb clearly beats the builtin pow."""
-    params = (generate_params(64, 256, random.Random(3)) if group == "256 bits"
-              else request.getfixturevalue(group))
+    `after`: at 256 bits neither comb clearly beats the builtin pow, and 511 bits is the
+    widest modulus below the threshold."""
+    params = request.getfixturevalue(group)
     p, q = params.p, params.q
-    for form, value in ((PerCallBase, params.g), (PerCallBase, p - 1), (FixedBase, params.g)):
-        follow(builds, marked(form, value), [-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1], p, q,
-               times=FixedBase.after)
+    assert p.bit_length() < 512
+    bases = [PerCallBase(int(params.g)), PerCallBase(p - 1), FixedBase(int(params.g))]
+    for base in bases:
+        for _ in range(FixedBase.after):
+            for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
+                assert pow_in_subgroup(base, k, p, q) == pow(int(base), k % q, p)
+                assert mod_exp(base, abs(k), p) == pow(int(base), abs(k), p)
+    assert all(base.comb is None for base in bases) and not builds
 
 
 def test_both_forms_build_from_512_bits(wide, builds):
     """At the 512-bit threshold a PerCallBase builds at its first power, a FixedBase at its
     `after`-th."""
-    assert wide.p.bit_length() == 512
-    for form in (PerCallBase, FixedBase):
-        follow(builds, marked(form, wide.g), [wide.q - 1], wide.p, wide.q, times=FixedBase.after)
+    p, q = wide.p, wide.q
+    assert p.bit_length() == 512 and p >= modmath._TABLE_MIN_MODULUS
+    per_call, fixed = PerCallBase(int(wide.g)), FixedBase(int(wide.g))
+    assert mod_exp(per_call, q - 1, p) == pow(int(wide.g), q - 1, p)
+    assert builds == [(PerCallBase.rows, PerCallBase.blocks)]
+    for _ in range(FixedBase.after):
+        assert mod_exp(fixed, q - 1, p) == pow(int(wide.g), q - 1, p)
+    assert builds[1:] == [(FixedBase.rows, FixedBase.blocks)]
 
 
 def test_one_pv_signature_builds_one_per_call_comb(big, big_signer, big_verifier, builds):
