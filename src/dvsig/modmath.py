@@ -6,8 +6,10 @@ invariant.  The randomness source is always passed explicitly.
 
 mod_exp and pow_in_subgroup share one private helper, _power.  A base
 that is a FixedBase, an int subclass, carries its own Lim-Lee comb
-(Lim & Lee, CRYPTO '94) and is powered from it; any other base, a
-modulus below 512 bits and a negative exponent take the builtin pow.
+(Lim & Lee, CRYPTO '94) and is powered from it; any other base and a
+modulus below 512 bits take the builtin pow.  mod_exp refuses a
+negative exponent with OutOfRange; pow_in_subgroup reduces its exponent
+mod q first.
 The comb is built at the base's `after`-th power modulo a modulus of at
 least 512 bits (_TABLE_MIN_MODULUS), sized for the widest exponent
 among those powers, and is bound to the modulus of the power that built
@@ -47,7 +49,7 @@ from __future__ import annotations
 import random
 from math import prod
 
-from .errors import DegenerateHash, NonInvertible
+from .errors import DegenerateHash, NonInvertible, OutOfRange
 
 # Ranges of randomness components: Z_q = [0, q), Z_q* = [1, q).
 ZQ, ZQ_STAR = "Z_q", "Z_q*"
@@ -191,7 +193,9 @@ def _power(base: int, exp: int, modulus: int) -> int:
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for a non-negative exponent."""
+    """base**exp mod modulus for a non-negative exponent; OutOfRange for a negative one."""
+    if exp < 0:
+        raise OutOfRange(f"exponent {exp} is negative")
     return _power(base, exp, modulus)
 
 

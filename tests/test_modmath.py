@@ -7,11 +7,12 @@ import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from dvsig import modmath
 from dvsig.cli import run
-from dvsig.errors import DegenerateHash, InvalidSignature, NonInvertible
-from dvsig.groupparams import GroupParams, generate_params
+from dvsig.errors import DegenerateHash, InvalidSignature, NonInvertible, OutOfRange
+from dvsig.groupparams import GroupParams
 from dvsig.keys import keygen
 from dvsig.modmath import (ZQ, ZQ_STAR, FixedBase, PerCallBase, mod_exp, mod_inv, pow_in_subgroup,
                            sample_space, sample_uniform)
@@ -163,18 +164,23 @@ def test_sample_space_gives_up_once_every_draw_is_rejected():
     assert len(rejected) == 20
 
 
-# ------------------------------------------------------- fixed-base tables
+# ------------------------------------------------------------ comb model
 
-# Table powers must equal the builtin pow bit for bit; a FixedBase builds
-# its table only at its 16th power modulo a full-size modulus.  The
-# shared `big` params and keys keep their tables from test to test, so
-# these tests mark fresh values.
+# CombModel states the comb contract once, and test_marked_bases_follow_the_comb_model
+# holds every power of a marked base to it and to the builtin pow.  The shared `big`
+# params and keys keep their combs from test to test, so tests mark fresh values.
+
+
+class Builds(list):
+    """(rows, blocks) of every comb built, in order; `reads` counts the powers read from one."""
+
+    reads = 0
 
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """(rows, blocks) of every comb built while the test runs, in order."""
-    built = []
+    """The Builds of every comb built and read while the test runs."""
+    built = Builds()
 
     class Recorded(modmath._Comb):
         __slots__ = ()
@@ -183,105 +189,105 @@ def builds(monkeypatch):
             super().__init__(*args)
             built.append((self.rows, self.blocks))
 
+        def power(self, exp):
+            built.reads += 1
+            return super().power(exp)
+
     monkeypatch.setattr(modmath, "_Comb", Recorded)
     return built
 
 
-def tabled(value, params):
-    """A fresh FixedBase of value, powered with exponent q - 1 until it has its table."""
-    p, q = params.p, params.q
-    base = FixedBase(int(value))
-    for _ in range(FixedBase.after):
-        assert mod_exp(base, q - 1, p) == pow(int(base), q - 1, p)
-    comb = base.comb
-    assert (comb.rows, comb.blocks, comb.modulus) == (FixedBase.rows, FixedBase.blocks, p)
-    return base, comb
+class CombModel:
+    """The comb of one marked base, with modmath's constants written out: nothing is built
+    modulo less than 512 bits; a FixedBase builds 8 rows by 4 blocks at its 16th power, a
+    PerCallBase 4 by 2 at its first; the comb is bound to that power's modulus, and its
+    width is the widest exponent so far rounded up to a multiple of rows * blocks bits."""
+
+    FORMS = {FixedBase: (16, (8, 4)), PerCallBase: (1, (4, 2))}
+
+    def __init__(self, form):
+        self.after, self.shape = self.FORMS[form]
+        self.uses = self.width = 0
+        self.comb = None  # (modulus, width) once built
+
+    def power(self, exp, modulus):
+        """(the shapes of the combs this power builds, the count it reads) for exp >= 0."""
+        if modulus.bit_length() < 512:
+            return [], 0
+        built = []
+        if self.comb is None:
+            self.uses, self.width = self.uses + 1, max(self.width, exp.bit_length())
+            if self.uses < self.after:
+                return [], 0
+            step = self.shape[0] * self.shape[1]
+            self.comb, built = (modulus, max(step, -(-self.width // step) * step)), [self.shape]
+        return built, int(self.comb[0] == modulus and exp.bit_length() <= self.comb[1])
 
 
-def outside_subgroup(params):
-    h = 2
-    while pow(h, params.q, params.p) == 1:
-        h += 1
-    return h
+def test_marked_bases_follow_the_comb_model(toy, midsize, bits256, bits511, wide, big,
+                                             big_signer, builds):
+    """Every power of a marked base, through mod_exp and pow_in_subgroup, equals the builtin
+    pow, and builds and reads the combs CombModel predicts, modulo 2048, 512 and 511 bits
+    and less, and modulo big.p - 2 beside big.p."""
+    # Hypothesis draws a list's first entries most often: the two sides of 512 bits go first.
+    groups = [wide, bits511, big, GroupParams(big.p - 2, big.q, int(big.g)), bits256, midsize, toy]
+
+    class Machine(RuleBasedStateMachine):
+        marked = Bundle("marked")
+
+        def __init__(self):
+            super().__init__()
+            builds.clear()
+            builds.reads, self.built, self.reads = 0, [], 0
+
+        @rule(target=marked, form=st.sampled_from([FixedBase, PerCallBase]),
+              group=st.sampled_from(groups), k=st.integers(2, 1 << 2048),
+              value=st.sampled_from(["0", "1", "p-1", "p", "p+g", "outside", "g", "key", "k"]))
+        def mark(self, form, group, k, value):
+            p, g = group.p, int(group.g)
+            number = {"0": 0, "1": 1, "p-1": p - 1, "p": p, "p+g": p + g, "g": g,
+                      "outside": next(h for h in range(2, p) if pow(h, group.q, p) != 1),
+                      "key": int(big_signer.y), "k": k % p}[value]
+            return form(number), CombModel(form)
+
+        @rule(target=marked, marked=marked, form=st.sampled_from([FixedBase, PerCallBase]))
+        def mark_again(self, marked, form):
+            base, _ = marked
+            again = form(base)
+            assert again == base and (again is base) == isinstance(base, form)
+            return marked if again is base else (again, CombModel(form))
+
+        @rule(marked=marked, group=st.sampled_from(groups), times=st.integers(1, 16),
+              k=st.integers(0, 1 << 300), kind=st.sampled_from(["k mod q", "-k", "q", "top", "wider"]))
+        def power(self, marked, group, times, k, kind):
+            (base, model), p, q = marked, group.p, group.q
+            width = model.comb[1] if model.comb else q.bit_length()
+            exp = {"k mod q": k % q, "-k": -k, "q": q, "top": (1 << width) - 1,
+                   "wider": (1 << width) + k}[kind]
+            exact = pow(int(base), exp, p) if exp >= 0 else None
+            in_subgroup = pow(int(base), exp % q, p)
+            for _ in range(times):
+                if exp >= 0:
+                    assert mod_exp(base, exp, p) == exact
+                    self.expect(*model.power(exp, p))
+                assert pow_in_subgroup(base, exp, p, q) == in_subgroup
+                self.expect(*model.power(exp % q, p))
+            assert model.comb == (base.comb and (base.comb.modulus, base.comb.width))
+
+        def expect(self, built, reads):
+            self.built, self.reads = self.built + built, self.reads + reads
+            assert builds == self.built and builds.reads == self.reads
+
+    # One failure shrunk, not each distinct one: a mutant in scripts/mutants.py dies sooner.
+    run_state_machine_as_test(Machine, settings=settings(
+        max_examples=20, stateful_step_count=30, deadline=None, derandomize=True, database=None,
+        report_multiple_bugs=False))
 
 
-BASES = {
-    "g": lambda params, key: params.g,
-    "key": lambda params, key: key.y,
-    "one": lambda params, key: 1,
-    "p-1": lambda params, key: params.p - 1,
-    "outside": lambda params, key: outside_subgroup(params),
-}
-TABLE_SETTINGS = settings(deadline=None, max_examples=40)
-
-
-def special_or_below_q(params):
-    q = params.q
-    return st.one_of(st.sampled_from([0, 1, q - 1, q]), st.integers(min_value=0, max_value=q - 1))
-
-
-@pytest.mark.parametrize("name", BASES)
-def test_table_power_equals_builtin(big, big_signer, name):
-    base, table = tabled(BASES[name](big, big_signer), big)
-
-    @TABLE_SETTINGS
-    @given(special_or_below_q(big))
-    def check(exp):
-        assert exp.bit_length() <= table.width
-        assert mod_exp(base, exp, big.p) == pow(int(base), exp, big.p)
-        assert pow_in_subgroup(base, exp, big.p, big.q) == pow(int(base), exp % big.q, big.p)
-        assert base.comb is table
-
-    check()
-
-
-@pytest.mark.parametrize("name", BASES)
-def test_exponents_wider_than_the_table_fall_back(big, big_signer, name):
-    base, table = tabled(BASES[name](big, big_signer), big)
-
-    @TABLE_SETTINGS
-    @given(st.integers(min_value=1 << table.width, max_value=1 << (2 * table.width)))
-    def check(exp):
-        assert mod_exp(base, exp, big.p) == pow(int(base), exp, big.p)
-        assert base.comb is table
-
-    check()
-
-
-@pytest.mark.parametrize("name", BASES)
-def test_negative_exponents_through_pow_in_subgroup(big, big_signer, name):
-    base, _ = tabled(BASES[name](big, big_signer), big)
-    p, q = big.p, big.q
-
-    @TABLE_SETTINGS
-    @given(special_or_below_q(big))
-    def check(k):
-        assert pow_in_subgroup(base, -k, p, q) == pow(int(base), -k % q, p)
-        if pow(int(base), q, p) == 1:
-            assert pow_in_subgroup(base, -k, p, q) == pow(int(base), -k, p)
-
-    check()
-
-
-def test_fewer_uses_than_the_threshold_build_no_table(big, builds):
-    p, q = big.p, big.q
-    g = FixedBase(int(big.g))
-    for k in range(1, FixedBase.after):
-        assert mod_exp(g, q - k, p) == pow(int(g), q - k, p)
-    assert g.comb is None and not builds
-    assert pow_in_subgroup(g, -1, p, q) == pow(int(g), q - 1, p)
-    assert builds == [(FixedBase.rows, FixedBase.blocks)] and g.comb.width >= q.bit_length()
-
-
-@pytest.mark.parametrize("group", ["toy", "midsize"])
-def test_small_groups_never_build_a_table(request, group, builds):
-    params = request.getfixturevalue(group)
-    p, q = params.p, params.q
-    g = FixedBase(int(params.g))
-    for k in range(4 * FixedBase.after):
-        assert mod_exp(g, k % q, p) == pow(int(g), k % q, p)
-        assert pow_in_subgroup(g, -k, p, q) == pow(int(g), -k % q, p)
-    assert g.comb is None and g.uses == 0 and not builds
+def test_mod_exp_refuses_negative_exponents():
+    for base in (0, 3):
+        with pytest.raises(OutOfRange, match="exponent -1 is negative"):
+            mod_exp(base, -1, 23)
 
 
 def test_marking_a_marked_value_returns_it(big):
@@ -291,22 +297,6 @@ def test_marking_a_marked_value_returns_it(big):
     assert FixedBase(pair.y) is pair.y and FixedBase(big.g) is big.g
     assert type(GroupParams(big.p, big.q, int(big.g)).g) is FixedBase
     assert PerCallBase(pair.y) is not pair.y and PerCallBase(pair.y) == pair.y
-
-
-@pytest.mark.parametrize("form", [FixedBase, PerCallBase])
-def test_a_comb_leaves_other_moduli_to_the_builtin_pow(big, form, builds):
-    """The comb is bound to the modulus of the power that built it."""
-    p, q = big.p, big.q
-    other = p - 2
-    base = form(int(big.g))
-    for _ in range(form.after):
-        assert mod_exp(base, q - 1, p) == pow(int(base), q - 1, p)
-    comb = base.comb
-    assert comb.modulus == p and builds == [(form.rows, form.blocks)]
-    for exp in (0, 1, q - 1, random.Random(5).randrange(q)):
-        assert mod_exp(base, exp, other) == pow(int(base), exp, other)
-        assert pow_in_subgroup(base, -exp, other, q) == pow(int(base), -exp % q, other)
-    assert base.comb is comb and len(builds) == 1
 
 
 def test_a_table_is_freed_with_its_owner(big):
@@ -381,80 +371,6 @@ def test_threads_share_marked_bases_safely(wide, builds):
     assert len(shared) <= len(builds) <= 4 * len(shared)
 
 
-# ----------------------------------------------------------- marked bases
-
-# A PerCallBase is powered from a comb built at its first power, which
-# must equal the builtin pow bit for bit.
-
-
-def marked_comb(base, params):
-    """The per-call comb of a PerCallBase, built by its first power, with exponent q."""
-    p, q = params.p, params.q
-    assert base.comb is None
-    assert mod_exp(base, q, p) == pow(int(base), q, p)
-    comb = base.comb
-    assert (comb.rows, comb.blocks) == (PerCallBase.rows, PerCallBase.blocks)
-    return comb
-
-
-MARKED_BASES = {
-    "zero": lambda params: 0,
-    "one": lambda params: 1,
-    "p-1": lambda params: params.p - 1,
-    "p": lambda params: params.p,
-    "p+g": lambda params: params.p + params.g,
-    "outside": outside_subgroup,
-    **{f"random-{seed}": lambda params, seed=seed: random.Random(seed).randrange(2, params.p)
-       for seed in range(3)},
-}
-
-
-@pytest.mark.parametrize("name", MARKED_BASES)
-def test_marked_power_equals_builtin(big, name, builds):
-    base = PerCallBase(MARKED_BASES[name](big))
-    p, q = big.p, big.q
-    comb = marked_comb(base, big)
-    assert comb.width == q.bit_length()
-    for exp in (0, 1, q - 1, (1 << comb.width) - 1, random.Random(name).randrange(q)):
-        assert mod_exp(base, exp, p) == pow(int(base), exp, p)
-        assert pow_in_subgroup(base, -exp, p, q) == pow(int(base), -exp % q, p)
-    wider = 1 << comb.width
-    assert mod_exp(base, wider, p) == pow(int(base), wider, p)
-    assert mod_exp(base, wider + q, p) == pow(int(base), wider + q, p)
-    assert base.comb is comb and len(builds) == 1
-
-
-@pytest.mark.parametrize("group", ["toy", "midsize", pytest.param("bits256", id="256 bits"),
-                                   pytest.param("bits511", id="511 bits")])
-def test_small_moduli_mark_nothing(request, group, builds):
-    """Below 512 bits neither form builds a comb, not even a FixedBase powered past its
-    `after`: at 256 bits neither comb clearly beats the builtin pow, and 511 bits is the
-    widest modulus below the threshold."""
-    params = request.getfixturevalue(group)
-    p, q = params.p, params.q
-    assert p.bit_length() < 512
-    bases = [PerCallBase(int(params.g)), PerCallBase(p - 1), FixedBase(int(params.g))]
-    for base in bases:
-        for _ in range(FixedBase.after):
-            for k in (-q - 1, -1, 0, 1, q - 1, q, 2 * q + 1):
-                assert pow_in_subgroup(base, k, p, q) == pow(int(base), k % q, p)
-                assert mod_exp(base, abs(k), p) == pow(int(base), abs(k), p)
-    assert all(base.comb is None for base in bases) and not builds
-
-
-def test_both_forms_build_from_512_bits(wide, builds):
-    """At the 512-bit threshold a PerCallBase builds at its first power, a FixedBase at its
-    `after`-th."""
-    p, q = wide.p, wide.q
-    assert p.bit_length() == 512 and p >= modmath._TABLE_MIN_MODULUS
-    per_call, fixed = PerCallBase(int(wide.g)), FixedBase(int(wide.g))
-    assert mod_exp(per_call, q - 1, p) == pow(int(wide.g), q - 1, p)
-    assert builds == [(PerCallBase.rows, PerCallBase.blocks)]
-    for _ in range(FixedBase.after):
-        assert mod_exp(fixed, q - 1, p) == pow(int(wide.g), q - 1, p)
-    assert builds[1:] == [(FixedBase.rows, FixedBase.blocks)]
-
-
 def test_one_pv_signature_builds_one_per_call_comb(big, big_signer, big_verifier, builds):
     """A PV signature's t keeps the comb its first opening builds: two psv calls, a dsg
     and the dsv_recover of that designation build one comb for t and one for e.  A
@@ -515,10 +431,10 @@ def test_a_kept_comb_too_narrow_for_q_leaves_the_opening_exact(big, big_signer):
 
 
 def test_a_kept_comb_leaves_another_modulus_exact(big, big_signer, powers):
-    """One PV object opened under a second 2048-bit group as well: its comb is bound to
-    the first group's modulus, so the other group's openings take the builtin pow, and
-    each opening, and each power of t in it, equals that of a plain-int copy."""
-    other = generate_params(256, 2048, random.Random(0x0DD))
+    """One PV object opened under a second 2048-bit modulus, big.p - 2, as well: its comb
+    is bound to big.p, so the other group's openings take the builtin pow, and each
+    opening, and each power of t in it, equals that of a plain-int copy."""
+    other = GroupParams(big.p - 2, big.q, int(big.g))
     assert other.p != big.p and other.p.bit_length() == 2048
     m = encode_message(b"two groups", big)
     # A signature whose fields lie in both groups' ranges, so both openings reach t**q.
